@@ -232,8 +232,7 @@ Error AsyncRemoteCudaApi::memset(cuda::DevPtr ptr, int value,
 Error AsyncRemoteCudaApi::memcpy_h2d(cuda::DevPtr dst,
                                      std::span<const std::uint8_t> src) {
   stats_.bytes_to_device += src.size();
-  return enqueue(proto::RPC_MEMCPY_H2D_PROC, dst,
-                 std::vector<std::uint8_t>(src.begin(), src.end()));
+  return enqueue(proto::RPC_MEMCPY_H2D_PROC, dst, src);
 }
 
 Error AsyncRemoteCudaApi::memcpy_d2h(std::span<std::uint8_t> dst,
@@ -260,8 +259,7 @@ Error AsyncRemoteCudaApi::memcpy_h2d_async(cuda::DevPtr dst,
                                            std::span<const std::uint8_t> src,
                                            cuda::StreamId stream) {
   stats_.bytes_to_device += src.size();
-  return enqueue(proto::RPC_MEMCPY_H2D_ASYNC_PROC, dst,
-                 std::vector<std::uint8_t>(src.begin(), src.end()), stream);
+  return enqueue(proto::RPC_MEMCPY_H2D_ASYNC_PROC, dst, src, stream);
 }
 
 Error AsyncRemoteCudaApi::memcpy_d2h_async(std::span<std::uint8_t> dst,
@@ -380,8 +378,7 @@ Error AsyncRemoteCudaApi::module_load(cuda::ModuleId& module,
           module = res.value;
           return from_wire(res.err);
         },
-        modcache::hash_image(image),
-        std::vector<std::uint8_t>(proof.begin(), proof.end()));
+        modcache::hash_image(image), std::span<const std::uint8_t>(proof));
     if (!miss) return err;
   }
   return call_blocking<proto::u64_result>(
@@ -390,7 +387,7 @@ Error AsyncRemoteCudaApi::module_load(cuda::ModuleId& module,
         module = res.value;
         return from_wire(res.err);
       },
-      std::vector<std::uint8_t>(image.begin(), image.end()));
+      image);
 }
 
 Error AsyncRemoteCudaApi::module_unload(cuda::ModuleId module) {
@@ -434,8 +431,7 @@ Error AsyncRemoteCudaApi::launch_kernel(cuda::FuncId func, cuda::Dim3 grid,
                  proto::rpc_dim3{xdr::Untrusted<std::uint32_t>(block.x),
                                 xdr::Untrusted<std::uint32_t>(block.y),
                                 xdr::Untrusted<std::uint32_t>(block.z)}, shared_bytes,
-                 stream,
-                 std::vector<std::uint8_t>(params.begin(), params.end()));
+                 stream, params);
 }
 
 // ---- BLAS / solver ------------------------------------------------------

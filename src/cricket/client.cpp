@@ -141,8 +141,7 @@ Error RemoteCudaApi::memcpy_h2d(cuda::DevPtr dst,
   switch (config_.transfer) {
     case TransferMethod::kRpcArgs:
       return forward("cuda.memcpy_h2d", [&] {
-        return from_wire(stub_->rpc_memcpy_h2d(
-            dst, std::vector<std::uint8_t>(src.begin(), src.end())));
+        return from_wire(stub_->rpc_memcpy_h2d(dst, src));
       });
     case TransferMethod::kParallelSockets: {
       if (lanes_.count() == 0) return Error::kInvalidValue;
@@ -220,8 +219,7 @@ Error RemoteCudaApi::memcpy_h2d_async(cuda::DevPtr dst,
                                       cuda::StreamId stream) {
   stats_.bytes_to_device += src.size();
   return forward("cuda.memcpy_h2d_async", [&] {
-    return from_wire(stub_->rpc_memcpy_h2d_async(
-        dst, std::vector<std::uint8_t>(src.begin(), src.end()), stream));
+    return from_wire(stub_->rpc_memcpy_h2d_async(dst, src, stream));
   });
 }
 
@@ -307,9 +305,8 @@ Error RemoteCudaApi::module_load(cuda::ModuleId& module,
       // upload (which then populates the cache). kCacheMiss is the
       // negotiation answer, never an application-visible error.
       const auto proof = modcache::possession_proof(config_.tenant, image);
-      const auto probe = stub_->rpc_module_load_cached(
-          modcache::hash_image(image),
-          std::vector<std::uint8_t>(proof.begin(), proof.end()));
+      const auto probe =
+          stub_->rpc_module_load_cached(modcache::hash_image(image), proof);
       if (from_wire(probe.err) != Error::kCacheMiss) {
         if (from_wire(probe.err) == Error::kSuccess) {
           module = probe.value;
@@ -319,8 +316,7 @@ Error RemoteCudaApi::module_load(cuda::ModuleId& module,
         return from_wire(probe.err);
       }
     }
-    const auto res = stub_->rpc_module_load(
-        std::vector<std::uint8_t>(image.begin(), image.end()));
+    const auto res = stub_->rpc_module_load(image);
     module = res.value;
     return from_wire(res.err);
   });
@@ -366,7 +362,7 @@ Error RemoteCudaApi::launch_kernel(cuda::FuncId func, cuda::Dim3 grid,
         proto::rpc_dim3{xdr::Untrusted<std::uint32_t>(block.x),
                                 xdr::Untrusted<std::uint32_t>(block.y),
                                 xdr::Untrusted<std::uint32_t>(block.z)}, shared_bytes, stream,
-        std::vector<std::uint8_t>(params.begin(), params.end())));
+        params));
   });
 }
 

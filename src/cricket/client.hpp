@@ -55,9 +55,11 @@ struct ClientConfig {
   std::uint32_t auth_stamp = 0;
   /// Two-phase module-load negotiation against the server's
   /// content-addressed cache (env::with_module_cache): module_load first
-  /// sends the FNV-64 image hash; only a cache miss pays for the full
-  /// upload. Transparent — a server without the cache always answers
-  /// kCacheMiss and the client falls back, so it is safe to leave on.
+  /// sends the image's cache key (the first 64 bits of its SHA-256) and a
+  /// SHA-256 proof of possession bound to the tenant; only a cache miss
+  /// pays for the full upload. Transparent — a server without the cache
+  /// always answers kCacheMiss and the client falls back, so it is safe to
+  /// leave on.
   bool module_cache = false;
 };
 

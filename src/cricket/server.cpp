@@ -298,7 +298,7 @@ class CricketSession final : public proto::CRICKETVERSService,
   }
 
   std::int32_t rpc_memcpy_h2d(xdr::Untrusted<proto::ptr_t> dst,
-                              std::vector<std::uint8_t> data) override {
+                              std::span<const std::uint8_t> data) override {
     count();
     admit_transfer(data.size());
     const Error err = api_.memcpy_h2d(handle(dst), data);
@@ -342,7 +342,7 @@ class CricketSession final : public proto::CRICKETVERSService,
   }
 
   std::int32_t rpc_memcpy_h2d_async(
-      xdr::Untrusted<proto::ptr_t> dst, std::vector<std::uint8_t> data,
+      xdr::Untrusted<proto::ptr_t> dst, std::span<const std::uint8_t> data,
       xdr::Untrusted<proto::ptr_t> stream) override {
     count();
     admit_transfer(data.size());
@@ -477,7 +477,8 @@ class CricketSession final : public proto::CRICKETVERSService,
   }
 
   // --------------------------- modules & launch --------------------------
-  proto::u64_result rpc_module_load(std::vector<std::uint8_t> image) override {
+  proto::u64_result rpc_module_load(
+      std::span<const std::uint8_t> image) override {
     count();
     if (cache_ != nullptr) {
       // Full upload with the cache on: load, then register under the
@@ -549,7 +550,7 @@ class CricketSession final : public proto::CRICKETVERSService,
 
   proto::u64_result rpc_module_load_cached(
       xdr::Untrusted<std::uint64_t> wire_hash,
-      std::vector<std::uint8_t> proof) override {
+      std::span<const std::uint8_t> proof) override {
     count();
     // Taint exit: a content hash has no a-priori bound — the cache table is
     // the authority and answers unknown hashes in-band with kCacheMiss, so
@@ -652,7 +653,7 @@ class CricketSession final : public proto::CRICKETVERSService,
                                  proto::rpc_dim3 grid, proto::rpc_dim3 block,
                                  xdr::Untrusted<std::uint32_t> shared,
                                  xdr::Untrusted<proto::ptr_t> stream,
-                                 std::vector<std::uint8_t> params) override {
+                                 std::span<const std::uint8_t> params) override {
     count();
     // Geometry and shared-memory bounds come straight off the wire; the
     // gpusim validators convert a taint refusal into the same LaunchError

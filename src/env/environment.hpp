@@ -81,9 +81,10 @@ struct Environment {
   /// server->guest draw independent but reproducible fault streams.
   std::string faults{};
   /// Two-phase module-load negotiation against the server's
-  /// content-addressed module cache (modcache): clients probe by FNV-64
-  /// image hash before uploading. Off by default: Table-1 presets measure
-  /// the historical upload path.
+  /// content-addressed module cache (modcache): before uploading, clients
+  /// probe with the image's cache key (the first 64 bits of its SHA-256)
+  /// plus a SHA-256 proof of possession bound to the tenant. Off by
+  /// default: Table-1 presets measure the historical upload path.
   bool module_cache = false;
 };
 

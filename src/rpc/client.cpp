@@ -47,7 +47,8 @@ RpcClient::~RpcClient() {
   }
 }
 
-std::vector<std::uint8_t> RpcClient::interpret_reply(const ReplyMsg& reply) {
+std::span<const std::uint8_t> RpcClient::interpret_reply(
+    const ReplyMsg& reply) {
   if (reply.stat == ReplyStat::kDenied) {
     throw RpcError(RpcError::Kind::kDenied,
                    reply.reject_stat == RejectStat::kRpcMismatch
@@ -104,42 +105,23 @@ bool RpcClient::try_reconnect() {
   return true;
 }
 
-std::vector<std::uint8_t> RpcClient::call_raw(
-    std::uint32_t proc, std::span<const std::uint8_t> args) {
-  CallMsg call;
-  call.xid = next_xid_++;
-  call.prog = prog_;
-  call.vers = vers_;
-  call.proc = proc;
-  call.cred = cred_;
-  call.args.assign(args.begin(), args.end());
-
-  if (options_.retry.enabled) return call_raw_retrying(call);
-
-  const obs::ScopedXid trace_xid(call.xid);
-  std::vector<std::uint8_t> record;
+std::span<const std::uint8_t> RpcClient::transact(const CallMsg& call) {
   {
-    obs::Span span(obs::Layer::kClientSerialize);
-    record = encode_call(call);
-    span.set_arg(record.size());
+    obs::Span span(obs::Layer::kChanSend, nullptr, send_buf_.size());
+    writer_.write_record(send_buf_);
   }
-  {
-    obs::Span span(obs::Layer::kChanSend, nullptr, record.size());
-    writer_.write_record(record);
-  }
-  stats_.bytes_sent += record.size();
+  stats_.bytes_sent += send_buf_.size();
   ++stats_.calls;
 
   const obs::Span wait_span(obs::Layer::kClientWait);
-  std::vector<std::uint8_t> reply_record;
   // This channel never has more than one call outstanding, so the reply xid
   // must match the call xid exactly; anything else is a misbehaving peer (or
   // a desynchronized stream) and silently skipping it would only turn the
   // protocol violation into a hard-to-diagnose hang one call later.
-  if (!reader_.read_record(reply_record))
+  if (!reader_.read_record(reply_buf_))
     throw TransportError("connection closed while awaiting reply");
-  stats_.bytes_received += reply_record.size();
-  const ReplyMsg reply = decode_reply(reply_record);
+  stats_.bytes_received += reply_buf_.size();
+  const ReplyMsg reply = decode_reply(reply_buf_);
   if (reply.xid != call.xid)
     throw RpcError(RpcError::Kind::kBadReply,
                    "reply xid mismatch: expected " + std::to_string(call.xid) +
@@ -149,7 +131,8 @@ std::vector<std::uint8_t> RpcClient::call_raw(
   return interpret_reply(reply);
 }
 
-std::vector<std::uint8_t> RpcClient::call_raw_retrying(const CallMsg& call) {
+std::span<const std::uint8_t> RpcClient::transact_retrying(
+    const CallMsg& call) {
   static obs::Counter& retries_total = obs::Registry::global().counter(
       "cricket_rpc_retries_total", {},
       "RPC call attempts beyond the first (timeout or transport failure)");
@@ -170,13 +153,7 @@ std::vector<std::uint8_t> RpcClient::call_raw_retrying(const CallMsg& call) {
       std::find(policy.idempotent_procs.begin(), policy.idempotent_procs.end(),
                 call.proc) != policy.idempotent_procs.end();
 
-  const obs::ScopedXid trace_xid(call.xid);
-  std::vector<std::uint8_t> record;
-  {
-    obs::Span span(obs::Layer::kClientSerialize);
-    record = encode_call(call);
-    span.set_arg(record.size());
-  }
+  const std::span<const std::uint8_t> record = send_buf_;
   ++stats_.calls;
 
   const auto start = Clock::now();
@@ -212,14 +189,13 @@ std::vector<std::uint8_t> RpcClient::call_raw_retrying(const CallMsg& call) {
       (void)transport_->set_recv_timeout(timeout);
 
       const obs::Span wait_span(obs::Layer::kClientWait);
-      std::vector<std::uint8_t> reply_record;
       for (;;) {
-        if (!reader_.read_record(reply_record))
+        if (!reader_.read_record(reply_buf_))
           throw TransportError("connection closed while awaiting reply");
-        stats_.bytes_received += reply_record.size();
+        stats_.bytes_received += reply_buf_.size();
         ReplyMsg reply;
         try {
-          reply = decode_reply(reply_record);
+          reply = decode_reply(reply_buf_);
         } catch (const RpcFormatError&) {
           // Corrupted-in-flight reply (framing intact, content garbage —
           // what a checksum failure looks like above the record layer).

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "rpc/record.hpp"
 #include "rpc/rpc_msg.hpp"
 #include "rpc/transport.hpp"
@@ -122,18 +123,19 @@ class RpcClient {
   /// Sets the credential sent with subsequent calls (default AUTH_NONE).
   void set_credential(OpaqueAuth cred) { cred_ = std::move(cred); }
 
-  /// Issues `proc` with pre-encoded arguments; returns raw encoded results.
-  /// Throws RpcError / TransportError on failure.
-  std::vector<std::uint8_t> call_raw(std::uint32_t proc,
-                                     std::span<const std::uint8_t> args);
+  /// Issues `proc` with pre-encoded arguments; returns the raw encoded
+  /// results as a view into this client's reply buffer, valid until the
+  /// next call on this client. Throws RpcError / TransportError on failure.
+  std::span<const std::uint8_t> call_raw(std::uint32_t proc,
+                                         std::span<const std::uint8_t> args) {
+    return call_with(proc, [&](xdr::Encoder& enc) { enc.put_raw(args); });
+  }
 
   /// Typed convenience: XDR-encodes `args...` in order, decodes one `Res`.
   template <typename Res, typename... Args>
   Res call(std::uint32_t proc, const Args&... args) {
-    xdr::Encoder enc;
-    (xdr_encode(enc, args), ...);
-    const auto results = call_raw(proc, enc.bytes());
-    xdr::Decoder dec(results);
+    xdr::Decoder dec(call_with(
+        proc, [&](xdr::Encoder& enc) { (xdr_encode(enc, args), ...); }));
     Res res{};
     xdr_decode(dec, res);
     dec.expect_exhausted();
@@ -143,9 +145,8 @@ class RpcClient {
   /// Typed call with void result.
   template <typename... Args>
   void call_void(std::uint32_t proc, const Args&... args) {
-    xdr::Encoder enc;
-    (xdr_encode(enc, args), ...);
-    const auto results = call_raw(proc, enc.bytes());
+    const auto results = call_with(
+        proc, [&](xdr::Encoder& enc) { (xdr_encode(enc, args), ...); });
     if (!results.empty())
       throw RpcError(RpcError::Kind::kBadReply, "expected void result");
   }
@@ -157,9 +158,37 @@ class RpcClient {
   [[nodiscard]] Transport& transport() noexcept { return *transport_; }
 
  private:
-  std::vector<std::uint8_t> call_raw_retrying(const CallMsg& call);
+  /// Encodes the call record into the reused send buffer — the header,
+  /// then `encode_args` appends the arguments straight behind it, so a
+  /// payload argument is copied once — and transacts it.
+  template <typename EncodeArgs>
+  std::span<const std::uint8_t> call_with(std::uint32_t proc,
+                                          EncodeArgs&& encode_args) {
+    CallMsg call;
+    call.xid = next_xid_++;
+    call.prog = prog_;
+    call.vers = vers_;
+    call.proc = proc;
+    call.cred = cred_;
+    const obs::ScopedXid trace_xid(call.xid);
+    {
+      obs::Span span(obs::Layer::kClientSerialize);
+      xdr::Encoder enc(std::move(send_buf_));
+      encode_call_header(call, enc);
+      encode_args(enc);
+      send_buf_ = enc.take();
+      span.set_arg(send_buf_.size());
+    }
+    return options_.retry.enabled ? transact_retrying(call) : transact(call);
+  }
+
+  /// Sends the call encoded in send_buf_ and returns its results, which
+  /// view reply_buf_.
+  std::span<const std::uint8_t> transact(const CallMsg& call);
+  /// transact() with deadlines, retries and reconnects (RetryPolicy).
+  std::span<const std::uint8_t> transact_retrying(const CallMsg& call);
   /// Maps an accepted/denied reply to results-or-RpcError.
-  static std::vector<std::uint8_t> interpret_reply(const ReplyMsg& reply);
+  static std::span<const std::uint8_t> interpret_reply(const ReplyMsg& reply);
   [[nodiscard]] bool try_reconnect();
 
   std::unique_ptr<Transport> transport_;
@@ -171,6 +200,11 @@ class RpcClient {
   OpaqueAuth cred_;
   ClientStats stats_;
   ClientOptions options_;
+  // Per-connection buffers, reused by every call so a steady stream of
+  // payload-sized calls allocates nothing: the encoded call record and the
+  // last reply record (which the returned results view).
+  std::vector<std::uint8_t> send_buf_;
+  std::vector<std::uint8_t> reply_buf_;
 };
 
 }  // namespace cricket::rpc

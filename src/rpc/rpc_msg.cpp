@@ -57,8 +57,15 @@ AuthSysParms AuthSysParms::from_opaque(const OpaqueAuth& auth) {
   return p;
 }
 
-std::vector<std::uint8_t> encode_call(const CallMsg& call) {
-  Encoder enc(64 + call.args.size());
+namespace {
+
+/// Room for an RPC header with AUTH_SYS-sized credentials, reserved up
+/// front so the body append below does not reallocate.
+constexpr std::size_t kHeaderReserve = 64;
+
+}  // namespace
+
+void encode_call_header(const CallMsg& call, Encoder& enc) {
   enc.put_u32(call.xid);
   enc.put_enum(MsgType::kCall);
   enc.put_u32(kRpcVersion);
@@ -67,13 +74,27 @@ std::vector<std::uint8_t> encode_call(const CallMsg& call) {
   enc.put_u32(call.proc);
   xdr_encode(enc, call.cred);
   xdr_encode(enc, call.verf);
-  auto out = enc.take();
-  out.insert(out.end(), call.args.begin(), call.args.end());
+}
+
+void encode_call(const CallMsg& call, std::vector<std::uint8_t>& out) {
+  out.clear();
+  out.reserve(kHeaderReserve + call.args.size());
+  Encoder enc(std::move(out));
+  encode_call_header(call, enc);
+  enc.put_raw(call.args);
+  out = enc.take();
+}
+
+std::vector<std::uint8_t> encode_call(const CallMsg& call) {
+  std::vector<std::uint8_t> out;
+  encode_call(call, out);
   return out;
 }
 
-std::vector<std::uint8_t> encode_reply(const ReplyMsg& reply) {
-  Encoder enc(64 + reply.results.size());
+void encode_reply(const ReplyMsg& reply, std::vector<std::uint8_t>& out) {
+  out.clear();
+  out.reserve(kHeaderReserve + reply.results.size());
+  Encoder enc(std::move(out));
   enc.put_u32(reply.xid);
   enc.put_enum(MsgType::kReply);
   enc.put_enum(reply.stat);
@@ -106,11 +127,16 @@ std::vector<std::uint8_t> encode_reply(const ReplyMsg& reply) {
       enc.put_enum(reply.auth_stat);
     }
   }
-  auto out = enc.take();
   if (reply.stat == ReplyStat::kAccepted &&
       reply.accept_stat == AcceptStat::kSuccess) {
-    out.insert(out.end(), reply.results.begin(), reply.results.end());
+    enc.put_raw(reply.results);
   }
+  out = enc.take();
+}
+
+std::vector<std::uint8_t> encode_reply(const ReplyMsg& reply) {
+  std::vector<std::uint8_t> out;
+  encode_reply(reply, out);
   return out;
 }
 
@@ -161,8 +187,7 @@ CallMsg decode_call(std::span<const std::uint8_t> record) {
   call.proc = dec.get_u32();
   xdr_decode(dec, call.cred);
   xdr_decode(dec, call.verf);
-  call.args.assign(record.begin() + static_cast<std::ptrdiff_t>(dec.position()),
-                   record.end());
+  call.args = record.subspan(dec.position());
   return call;
 }
 
@@ -178,9 +203,7 @@ ReplyMsg decode_reply(std::span<const std::uint8_t> record) {
     reply.accept_stat = dec.get_enum<AcceptStat>();
     switch (reply.accept_stat) {
       case AcceptStat::kSuccess:
-        reply.results.assign(
-            record.begin() + static_cast<std::ptrdiff_t>(dec.position()),
-            record.end());
+        reply.results = record.subspan(dec.position());
         break;
       case AcceptStat::kProgMismatch: {
         MismatchInfo mi;

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -90,7 +91,11 @@ struct CallMsg {
   std::uint32_t proc = 0;
   OpaqueAuth cred;
   OpaqueAuth verf;
-  std::vector<std::uint8_t> args;  // XDR-encoded procedure arguments
+  /// XDR-encoded procedure arguments. A view, never a copy: into the record
+  /// decode_call parsed, or into the caller's argument buffer when sending.
+  /// Whoever fills it keeps the bytes alive for as long as the CallMsg is
+  /// used.
+  std::span<const std::uint8_t> args;
 };
 
 /// Mismatch bounds reported with kProgMismatch / kRpcMismatch.
@@ -108,22 +113,36 @@ struct ReplyMsg {
   AcceptStat accept_stat = AcceptStat::kSuccess;
   std::optional<MismatchInfo> mismatch;  // prog/rpc mismatch bounds
   QuotaReason quota_reason = QuotaReason::kUnspecified;  // with kQuotaExceeded
-  std::vector<std::uint8_t> results;     // XDR-encoded results on success
+  /// XDR-encoded results on success. A view, like CallMsg::args: into the
+  /// record decode_reply parsed, or into the server's results buffer.
+  std::span<const std::uint8_t> results;
   // denied:
   RejectStat reject_stat = RejectStat::kRpcMismatch;
   AuthStat auth_stat = AuthStat::kOk;
 };
 
-/// Serializes a call message (header + pre-encoded args).
+/// Serializes a call message's header — everything before the args.
+void encode_call_header(const CallMsg& call, xdr::Encoder& enc);
+/// Serializes a call message (header + pre-encoded args) into `out`,
+/// replacing its contents but keeping its capacity.
+void encode_call(const CallMsg& call, std::vector<std::uint8_t>& out);
+/// Serializes a reply message (header + pre-encoded results) into `out`,
+/// replacing its contents but keeping its capacity.
+void encode_reply(const ReplyMsg& reply, std::vector<std::uint8_t>& out);
+/// Same, into a fresh vector.
 [[nodiscard]] std::vector<std::uint8_t> encode_call(const CallMsg& call);
-/// Serializes a reply message (header + pre-encoded results).
 [[nodiscard]] std::vector<std::uint8_t> encode_reply(const ReplyMsg& reply);
 
 /// Parses a record as a call; throws XdrError/RpcFormatError on garbage.
+/// The result's args view `record`.
 [[nodiscard]] CallMsg decode_call(std::span<const std::uint8_t> record);
 /// Parses a record as a reply. Strict: unknown reply_stat / accept_stat /
-/// reject_stat / auth_stat values and trailing bytes all throw.
+/// reject_stat / auth_stat values and trailing bytes all throw. The
+/// result's results view `record`.
 [[nodiscard]] ReplyMsg decode_reply(std::span<const std::uint8_t> record);
+/// A temporary record would leave those views dangling.
+CallMsg decode_call(std::vector<std::uint8_t>&&) = delete;
+ReplyMsg decode_reply(std::vector<std::uint8_t>&&) = delete;
 
 /// Allocation-free view of a call header — just enough to route the record
 /// (bounds pre-flight) without copying auth bodies or args.

@@ -90,6 +90,21 @@ std::uint64_t drc_client_id(const OpaqueAuth& cred) noexcept {
   return h;
 }
 
+void ServiceRegistry::DrcState::insert_locked(const DrcKey& key,
+                                              const ReplyMsg& reply) {
+  const auto [it, inserted] = cache.try_emplace(key);
+  if (!inserted) return;
+  DrcEntry& entry = it->second;
+  entry.results.assign(reply.results.begin(), reply.results.end());
+  entry.reply = reply;
+  entry.reply.results = entry.results;
+  entry.bytes = entry.results.size() + 64;  // + header estimate
+  fifo.push_back(key);
+  bytes += entry.bytes;
+  ++stats.insertions;
+  evict_locked();
+}
+
 std::vector<DrcExportEntry> ServiceRegistry::export_drc(
     std::optional<std::uint64_t> client) const {
   std::vector<DrcExportEntry> out;
@@ -110,28 +125,22 @@ void ServiceRegistry::import_drc(const std::vector<DrcExportEntry>& entries) {
   DrcState& drc = *drc_;
   sim::MutexLock lock(drc.mu);
   for (const auto& e : entries) {
-    ReplyMsg reply = decode_reply(e.reply);
+    const ReplyMsg reply = decode_reply(e.reply);
     if (reply.xid != e.xid)
       throw RpcFormatError("imported DRC entry xid does not match its reply");
-    const DrcKey key{e.client, e.xid};
-    const std::size_t bytes = reply.results.size() + 64;  // + header estimate
-    if (drc.cache.emplace(key, DrcEntry{std::move(reply), bytes}).second) {
-      drc.fifo.push_back(key);
-      drc.bytes += bytes;
-      ++drc.stats.insertions;
-      drc.evict_locked();
-    }
+    drc.insert_locked(DrcKey{e.client, e.xid}, reply);
   }
   drc.cv.notify_all();
 }
 
-ReplyMsg ServiceRegistry::dispatch(const CallMsg& call) const {
+ReplyMsg ServiceRegistry::dispatch(const CallMsg& call,
+                                   std::vector<std::uint8_t>& results) const {
   // Only handled procedures go through the cache: error classifications and
   // the implicit null procedure are side-effect free, and caching them would
   // let misses crowd out replies that actually protect against re-execution.
   if (!drc_ ||
       handlers_.find(Key{call.prog, call.vers, call.proc}) == handlers_.end())
-    return execute(call);
+    return execute(call, results);
 
   static obs::Counter& drc_hits = obs::Registry::global().counter(
       "cricket_drc_hits_total", {},
@@ -146,7 +155,12 @@ ReplyMsg ServiceRegistry::dispatch(const CallMsg& call) const {
       if (it != drc.cache.end()) {
         ++drc.stats.hits;
         drc_hits.inc();
-        return it->second.reply;
+        // Copied out under the lock: the entry may be evicted as soon as
+        // it is released.
+        results.assign(it->second.results.begin(), it->second.results.end());
+        ReplyMsg reply = it->second.reply;
+        reply.results = results;
+        return reply;
       }
       if (drc.in_flight.find(key) == drc.in_flight.end()) break;
       // The original attempt is still executing on another worker. Wait for
@@ -158,34 +172,31 @@ ReplyMsg ServiceRegistry::dispatch(const CallMsg& call) const {
   }
 
   // Handler runs outside the lock — CUDA-side work can be long.
-  ReplyMsg reply = execute(call);
+  ReplyMsg reply = execute(call, results);
 
   {
     sim::MutexLock lock(drc.mu);
     drc.in_flight.erase(key);
-    const std::size_t bytes = reply.results.size() + 64;  // + header estimate
-    if (drc.cache.emplace(key, DrcEntry{reply, bytes}).second) {
-      drc.fifo.push_back(key);
-      drc.bytes += bytes;
-      ++drc.stats.insertions;
-      drc.evict_locked();
-    }
+    drc.insert_locked(key, reply);
     drc.cv.notify_all();
   }
   return reply;
 }
 
-ReplyMsg ServiceRegistry::execute(const CallMsg& call) const {
+ReplyMsg ServiceRegistry::execute(const CallMsg& call,
+                                  std::vector<std::uint8_t>& results) const {
   ReplyMsg reply;
   reply.xid = call.xid;
   reply.stat = ReplyStat::kAccepted;
+  results.clear();
 
   // Null procedure: always answered, per RFC 5531 convention, as long as the
   // program exists at all.
   const auto it = handlers_.find(Key{call.prog, call.vers, call.proc});
   if (it != handlers_.end()) {
     try {
-      reply.results = it->second(call.args);
+      it->second(call.args, results);
+      reply.results = results;
       reply.accept_stat = AcceptStat::kSuccess;
     } catch (const GarbageArgsError&) {
       reply.accept_stat = AcceptStat::kGarbageArgs;
@@ -293,9 +304,11 @@ class PipelinedConnection {
         reply_cv_.notify_one();
         continue;
       }
-      CallMsg call;
+      // The queued call owns the record its args view, so the view stays
+      // valid while it waits; the next read_record fills a fresh buffer.
+      QueuedCall queued{std::move(record), {}};
       try {
-        call = decode_call(record);
+        queued.call = decode_call(queued.record);
       } catch (const std::exception&) {
         // Not parseable as a call: drop it, but release the admission slot
         // the record was granted above.
@@ -307,21 +320,23 @@ class PipelinedConnection {
         slots_cv_.wait(mu_);
       if (write_failed_) return;
       ++in_flight_;
-      queue_.push_back(std::move(call));
+      queue_.push_back(std::move(queued));
       lock.unlock();
       work_cv_.notify_one();
     }
   }
 
   void worker_loop() CRICKET_EXCLUDES(mu_) {
+    std::vector<std::uint8_t> results;  // reused across this worker's calls
     for (;;) {
       sim::MutexLock lock(mu_);
       while (queue_.empty() && !intake_done_ && !write_failed_)
         work_cv_.wait(mu_);
       if (queue_.empty()) return;  // intake done or writer dead: drain over
-      CallMsg call = std::move(queue_.front());
+      const QueuedCall queued = std::move(queue_.front());
       queue_.pop_front();
       lock.unlock();
+      const CallMsg& call = queued.call;
       std::vector<std::uint8_t> record;
       {
         // The xid crosses from the reader thread to this worker inside the
@@ -330,7 +345,7 @@ class PipelinedConnection {
         const obs::ScopedXid trace_xid(call.xid);
         obs::Span span(obs::Layer::kServerDispatch, nullptr,
                        call.args.size());
-        record = encode_reply(registry_->dispatch(call));
+        encode_reply(registry_->dispatch(call, results), record);
       }
       registry_->admission_complete();
       lock.lock();
@@ -388,7 +403,13 @@ class PipelinedConnection {
   sim::CondVar work_cv_;   // workers: calls available
   sim::CondVar reply_cv_;  // writer: replies available
   sim::CondVar slots_cv_;  // reader: in-flight slots free
-  std::deque<CallMsg> queue_ CRICKET_GUARDED_BY(mu_);
+
+  /// A decoded call and the record its args view.
+  struct QueuedCall {
+    std::vector<std::uint8_t> record;
+    CallMsg call;
+  };
+  std::deque<QueuedCall> queue_ CRICKET_GUARDED_BY(mu_);
   // Encoded reply records awaiting the writer.
   std::vector<std::vector<std::uint8_t>> ready_ CRICKET_GUARDED_BY(mu_);
   std::vector<std::thread> workers_;  // touched by run() only
@@ -407,7 +428,12 @@ void serve_serial(const ServiceRegistry& registry, Transport& transport,
                   std::uint32_t max_fragment) {
   RecordReader reader(transport);
   RecordWriter writer(transport, max_fragment);
+  // Reused for every call on the connection, so steady-state calls allocate
+  // no payload-sized buffer: the received record (the call's args view it),
+  // the handler's results, and the encoded reply.
   std::vector<std::uint8_t> record;
+  std::vector<std::uint8_t> results;
+  std::vector<std::uint8_t> reply_record;
   for (;;) {
     try {
       if (!reader.read_record(record)) return;  // clean EOF
@@ -417,7 +443,8 @@ void serve_serial(const ServiceRegistry& registry, Transport& transport,
     if (auto rejected = registry.preflight(record)) {
       // Out-of-bounds length: answer GARBAGE_ARGS without ever decoding.
       try {
-        writer.write_record(encode_reply(*rejected));
+        encode_reply(*rejected, reply_record);
+        writer.write_record(reply_record);
       } catch (const TransportError&) {
         return;
       }
@@ -427,7 +454,8 @@ void serve_serial(const ServiceRegistry& registry, Transport& transport,
       // Tenant over quota (or unauthenticated): answer the typed rejection
       // without decoding; the connection stays up.
       try {
-        writer.write_record(encode_reply(*rejected));
+        encode_reply(*rejected, reply_record);
+        writer.write_record(reply_record);
       } catch (const TransportError&) {
         return;
       }
@@ -438,7 +466,7 @@ void serve_serial(const ServiceRegistry& registry, Transport& transport,
       const CallMsg call = decode_call(record);
       const obs::ScopedXid trace_xid(call.xid);
       obs::Span span(obs::Layer::kServerDispatch, nullptr, call.args.size());
-      reply = registry.dispatch(call);
+      reply = registry.dispatch(call, results);
     } catch (const std::exception&) {
       // Not parseable as a call: drop it (a real server also cannot reply
       // without an xid it trusts), releasing its admission slot.
@@ -449,7 +477,8 @@ void serve_serial(const ServiceRegistry& registry, Transport& transport,
     try {
       const obs::ScopedXid trace_xid(reply.xid);
       obs::Span span(obs::Layer::kServerReply);
-      writer.write_record(encode_reply(reply));
+      encode_reply(reply, reply_record);
+      writer.write_record(reply_record);
     } catch (const TransportError&) {
       return;
     }

@@ -36,9 +36,12 @@ class GarbageArgsError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// A procedure handler: takes XDR-encoded args, returns XDR-encoded results.
-using ProcHandler =
-    std::function<std::vector<std::uint8_t>(std::span<const std::uint8_t>)>;
+/// A procedure handler: takes XDR-encoded args and writes XDR-encoded
+/// results into `results`, which arrives empty but with the capacity of
+/// earlier calls (the serve loop reuses one buffer per connection). `args`
+/// views the received record and is valid only until the handler returns.
+using ProcHandler = std::function<void(std::span<const std::uint8_t> args,
+                                       std::vector<std::uint8_t>& results)>;
 
 /// Duplicate-request cache sizing. FIFO eviction: retries arrive within the
 /// client's backoff window (milliseconds), so recency-ordering buys nothing
@@ -98,12 +101,15 @@ class ServiceRegistry {
                      std::uint32_t proc, ProcHandler handler);
 
   /// Convenience: typed handler taking decoded arguments.
-  /// `fn` is invoked as `Res fn(Args...)` with args decoded in order.
+  /// `fn` is invoked as `Res fn(Args...)` with args decoded in order. An
+  /// argument of type std::span<const std::uint8_t> is a borrowed opaque:
+  /// it views the received record and is valid until `fn` returns.
   template <typename Res, typename... Args, typename Fn>
   void register_typed(std::uint32_t prog, std::uint32_t vers,
                       std::uint32_t proc, Fn fn) {
     register_proc(prog, vers, proc,
-                  [fn = std::move(fn)](std::span<const std::uint8_t> in) {
+                  [fn = std::move(fn)](std::span<const std::uint8_t> in,
+                                       std::vector<std::uint8_t>& out) {
                     // Counted so tests can prove pre-flight rejections never
                     // reach argument decoding.
                     static obs::Counter& decode_attempts =
@@ -120,13 +126,14 @@ class ServiceRegistry {
                     } catch (const xdr::XdrError& e) {
                       throw GarbageArgsError(e.what());
                     }
-                    xdr::Encoder enc;
                     if constexpr (std::is_void_v<Res>) {
                       std::apply(fn, args);
                     } else {
-                      xdr_encode(enc, std::apply(fn, args));
+                      auto res = std::apply(fn, args);
+                      xdr::Encoder enc(std::move(out));
+                      xdr_encode(enc, res);
+                      out = enc.take();
                     }
-                    return enc.take();
                   });
   }
 
@@ -188,8 +195,12 @@ class ServiceRegistry {
 
   /// Executes one parsed call, producing the reply (never throws for
   /// call-level errors; they become reply statuses). Consults the
-  /// duplicate-request cache when enabled.
-  [[nodiscard]] ReplyMsg dispatch(const CallMsg& call) const;
+  /// duplicate-request cache when enabled. The reply's results view
+  /// `results`, which this overwrites (keeping its capacity): the handler's
+  /// output, or a copy of the cached reply's. Each serve loop passes one
+  /// buffer per connection (per worker when pipelined).
+  [[nodiscard]] ReplyMsg dispatch(const CallMsg& call,
+                                  std::vector<std::uint8_t>& results) const;
 
  private:
   struct Key {
@@ -201,9 +212,12 @@ class ServiceRegistry {
     std::uint32_t xid;
     auto operator<=>(const DrcKey&) const = default;
   };
+  /// A cached reply owns its results; `reply.results` views `results`
+  /// (map nodes never move, so the view stays valid).
   struct DrcEntry {
     ReplyMsg reply;
-    std::size_t bytes;
+    std::vector<std::uint8_t> results;
+    std::size_t bytes = 0;
   };
 
   /// The cache lives on the heap so the registry stays movable (sim::Mutex
@@ -221,10 +235,15 @@ class ServiceRegistry {
     DrcStats stats CRICKET_GUARDED_BY(mu);
 
     void evict_locked() CRICKET_REQUIRES(mu);
+    /// Caches a copy of `reply` (and its results) under `key` unless one is
+    /// already there, then evicts down to the caps.
+    void insert_locked(const DrcKey& key, const ReplyMsg& reply)
+        CRICKET_REQUIRES(mu);
   };
 
   /// dispatch() minus the duplicate cache.
-  [[nodiscard]] ReplyMsg execute(const CallMsg& call) const;
+  [[nodiscard]] ReplyMsg execute(const CallMsg& call,
+                                 std::vector<std::uint8_t>& results) const;
 
   std::map<Key, ProcHandler> handlers_;
   std::map<Key, ProcWireBounds> bounds_;

@@ -54,8 +54,11 @@ class Transport {
   /// read into `out`, or 0 on orderly end-of-stream.
   virtual std::size_t recv(std::span<std::uint8_t> out) = 0;
 
-  /// Reads exactly `out.size()` bytes or throws TransportError on EOF.
-  void recv_exact(std::span<std::uint8_t> out);
+  /// Reads exactly `out.size()` bytes or throws TransportError on EOF. The
+  /// default loops recv(); a transport that charges virtual time per
+  /// receive call overrides it to wait for every byte and charge one
+  /// receive (MSG_WAITALL).
+  virtual void recv_exact(std::span<std::uint8_t> out);
 
   /// Bounds how long any single recv() may block; once the bound elapses
   /// with no data, recv() throws TransportTimeout. Zero clears the bound.

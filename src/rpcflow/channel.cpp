@@ -120,7 +120,7 @@ ReplyFuture AsyncRpcChannel::call_raw_async(
   call.prog = prog_;
   call.vers = vers_;
   call.proc = proc;
-  call.args.assign(args.begin(), args.end());
+  call.args = args;  // encoded below, before this returns
 
   ReplyPromise promise;
   ReplyFuture future(promise.state());
@@ -531,7 +531,9 @@ void AsyncRpcChannel::reader_loop() {
         }
         promise.set_error(std::move(error));
       } else {
-        promise.set_value(std::move(reply.results));
+        // The record buffer is reused for the next read; the future owns
+        // its results.
+        promise.set_value({reply.results.begin(), reply.results.end()});
       }
       slots_cv_.notify_all();
     }

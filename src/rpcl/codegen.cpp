@@ -79,6 +79,33 @@ std::string server_cpp_type(const SpecFile& spec, const TypeRef& t,
   return cpp_type(t);
 }
 
+/// A top-level variable-length opaque procedure argument (`opaque<N>`
+/// directly in the argument list, not through a typedef or a struct): the
+/// client stub takes it as a span of the caller's bytes and the skeleton
+/// receives a view into the received record, so a payload argument is
+/// never copied into a vector on either side.
+bool is_borrowed_opaque(const TypeRef& t) {
+  return t.decoration == TypeRef::Decoration::kVariableArray &&
+         std::holds_alternative<Builtin>(t.base) &&
+         std::get<Builtin>(t.base) == Builtin::kOpaque;
+}
+
+constexpr const char* kOpaqueView = "std::span<const std::uint8_t>";
+
+/// Client-stub parameter declaration for argument `i`.
+std::string stub_param(const TypeRef& t, std::size_t i) {
+  const std::string name = " a" + std::to_string(i);
+  if (is_borrowed_opaque(t)) return kOpaqueView + name;
+  return "const " + cpp_type(t) + "&" + name;
+}
+
+/// Skeleton-side C++ type of a procedure argument.
+std::string server_arg_type(const SpecFile& spec, const TypeRef& t,
+                            bool taint_mode) {
+  if (is_borrowed_opaque(t)) return kOpaqueView;
+  return server_cpp_type(spec, t, taint_mode);
+}
+
 void emit_struct(std::ostringstream& out, const StructDef& s,
                  const SpecFile& spec, bool taint_mode) {
   out << "struct " << s.name << " {\n";
@@ -212,7 +239,7 @@ void emit_program(std::ostringstream& out, const ProgramDef& prog,
       out << "  " << res << " " << proc.name << "(";
       for (std::size_t i = 0; i < proc.args.size(); ++i) {
         if (i) out << ", ";
-        out << "const " << cpp_type(proc.args[i]) << "& a" << i;
+        out << stub_param(proc.args[i], i);
       }
       out << ") {\n";
       if (is_void(proc.result)) {
@@ -230,7 +257,9 @@ void emit_program(std::ostringstream& out, const ProgramDef& prog,
 
     // ---- abstract service skeleton (rpcgen's generated server) ----
     out << "/// Server skeleton for " << prog.name << " v" << ver.number
-        << ": implement the pure virtuals and call register_into().\n";
+        << ": implement the pure virtuals and call register_into().\n"
+        << "/// Opaque arguments arrive as views into the received record,\n"
+        << "/// valid until the handler returns; copy what must outlive it.\n";
     out << "class " << ver.name << "Service {\n public:\n";
     out << "  virtual ~" << ver.name << "Service() = default;\n\n";
     for (const auto& proc : ver.procs) {
@@ -239,7 +268,7 @@ void emit_program(std::ostringstream& out, const ProgramDef& prog,
       out << "  virtual " << res << " " << proc.name << "(";
       for (std::size_t i = 0; i < proc.args.size(); ++i) {
         if (i) out << ", ";
-        out << server_cpp_type(spec, proc.args[i], taint_mode) << " a" << i;
+        out << server_arg_type(spec, proc.args[i], taint_mode) << " a" << i;
       }
       out << ") = 0;\n";
     }
@@ -251,13 +280,13 @@ void emit_program(std::ostringstream& out, const ProgramDef& prog,
           is_void(proc.result) ? "void" : cpp_type(proc.result);
       out << "    registry.register_typed<" << res;
       for (const auto& arg : proc.args)
-        out << ", " << server_cpp_type(spec, arg, taint_mode);
+        out << ", " << server_arg_type(spec, arg, taint_mode);
       out << ">(\n        " << upper(prog.name) << "_PROG, "
           << upper(ver.name) << "_VERS, " << upper(proc.name) << "_PROC,\n";
       out << "        [this](";
       for (std::size_t i = 0; i < proc.args.size(); ++i) {
         if (i) out << ", ";
-        out << server_cpp_type(spec, proc.args[i], taint_mode) << " a" << i;
+        out << server_arg_type(spec, proc.args[i], taint_mode) << " a" << i;
       }
       out << ") { return this->" << proc.name << "(";
       for (std::size_t i = 0; i < proc.args.size(); ++i) {
@@ -336,7 +365,8 @@ std::string generate_header(const SpecFile& spec,
   out << "#include <array>\n#include <cstdint>\n";
   if (options.taint) out << "#include <limits>\n";
   out << "#include <optional>\n"
-         "#include <string>\n#include <utility>\n#include <vector>\n\n";
+         "#include <span>\n#include <string>\n#include <utility>\n"
+         "#include <vector>\n\n";
   out << "#include \"rpc/client.hpp\"\n#include \"rpc/server.hpp\"\n";
   if (options.taint) out << "#include \"xdr/taint.hpp\"\n";
   out << "#include \"xdr/xdr.hpp\"\n\n";

@@ -183,19 +183,11 @@ void VirtioNetTransport::rx_backend() {
   }
 }
 
-std::size_t VirtioNetTransport::recv(std::span<std::uint8_t> out) {
-  obs::Span span(obs::Layer::kVnetRx);
-  // Drain the used ring in one go: block for the first frame if nothing is
-  // pending, then opportunistically take every already-completed frame. One
-  // recv() spans many frames, as one socket read does on a real guest —
-  // per-frame stack costs are still charged per frame by rx_cpu_cost.
-  while (rx_pending_.size() < out.size()) {
-    const bool wait = rx_pending_.empty();
-    auto used = rx_.take_used(wait);
-    if (!used) {
-      if (rx_pending_.empty()) return 0;  // shutdown: clean EOF
-      break;                              // no more completions right now
-    }
+bool VirtioNetTransport::fill_pending(std::size_t want, bool wait_all) {
+  while (rx_pending_.size() < want) {
+    auto used = rx_.take_used(wait_all || rx_pending_.empty());
+    // Shutdown, or (not waiting) no more completions right now.
+    if (!used) return !rx_pending_.empty();
     const auto frame = rx_.read_in_buffers(used->first, used->second);
     post_rx_buffer();  // replenish the ring
     try {
@@ -212,6 +204,11 @@ std::size_t VirtioNetTransport::recv(std::span<std::uint8_t> out) {
       // Corrupt frame dropped; reliable wire makes this benign.
     }
   }
+  return true;
+}
+
+std::size_t VirtioNetTransport::deliver(std::span<std::uint8_t> out,
+                                        obs::Span& span) {
   const std::size_t n = std::min(out.size(), rx_pending_.size());
   std::copy_n(rx_pending_.begin(), n, out.begin());
   rx_pending_.erase(rx_pending_.begin(),
@@ -223,6 +220,25 @@ std::size_t VirtioNetTransport::recv(std::span<std::uint8_t> out) {
     span.cancel();  // shutdown EOF
   }
   return n;
+}
+
+std::size_t VirtioNetTransport::recv(std::span<std::uint8_t> out) {
+  obs::Span span(obs::Layer::kVnetRx);
+  // Drain the used ring in one go: block for the first frame if nothing is
+  // pending, then opportunistically take every already-completed frame. One
+  // recv() spans many frames, as one socket read does on a real guest —
+  // per-frame stack costs are still charged per frame by rx_cpu_cost.
+  if (!fill_pending(out.size(), /*wait_all=*/false)) return 0;  // clean EOF
+  return deliver(out, span);
+}
+
+void VirtioNetTransport::recv_exact(std::span<std::uint8_t> out) {
+  if (out.empty()) return;
+  obs::Span span(obs::Layer::kVnetRx);
+  if (!fill_pending(out.size(), /*wait_all=*/true) ||
+      rx_pending_.size() < out.size())
+    throw rpc::TransportError("connection closed mid-message");
+  (void)deliver(out, span);
 }
 
 void VirtioNetTransport::shutdown() {

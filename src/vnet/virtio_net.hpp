@@ -93,6 +93,15 @@ class ShapedTransport final : public rpc::Transport {
     return n;
   }
 
+  /// MSG_WAITALL, as on VirtioNetTransport: one receive charged for the
+  /// whole read, however the bytes happened to arrive.
+  void recv_exact(std::span<std::uint8_t> out) override {
+    if (out.empty()) return;
+    obs::Span span(obs::Layer::kNetRx, nullptr, out.size());
+    inner_->recv_exact(out);
+    clock_->advance(rx_cpu_cost(profile_, out.size()));
+  }
+
   void shutdown() override { inner_->shutdown(); }
 
   bool set_recv_timeout(std::chrono::nanoseconds timeout) override {
@@ -122,6 +131,12 @@ class VirtioNetTransport final : public rpc::Transport {
 
   void send(std::span<const std::uint8_t> data) override;
   std::size_t recv(std::span<std::uint8_t> out) override;
+  /// MSG_WAITALL: the caller knows all of `out` is on its way (the record
+  /// reader asks for whole fragment bodies), so this waits for every byte
+  /// and charges one receive. Charging per partial read instead would make
+  /// the virtual cost depend on how far the RX backend thread had got when
+  /// the call came in, i.e. on real-time scheduling.
+  void recv_exact(std::span<std::uint8_t> out) override;
   void shutdown() override;
 
   /// Returns a snapshot copy (counters advance concurrently on the sender
@@ -147,6 +162,14 @@ class VirtioNetTransport final : public rpc::Transport {
   void rx_backend();
   void reclaim_tx_descriptors(bool wait);
   void post_rx_buffer();
+  /// Moves completed RX frames into rx_pending_ until it holds `want`
+  /// bytes, blocking for the first frame only or, with `wait_all`, for
+  /// every frame. Returns false when the ring shut down with nothing
+  /// pending (end of stream).
+  bool fill_pending(std::size_t want, bool wait_all);
+  /// Hands up to out.size() pending bytes to `out` and charges one receive
+  /// of that many bytes.
+  std::size_t deliver(std::span<std::uint8_t> out, obs::Span& span);
 
   NetworkProfile profile_;
   sim::SimClock* clock_;

@@ -10,6 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -24,21 +27,31 @@ class VirtqError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Flat guest-physical memory arena descriptors point into.
+/// Flat guest-physical memory arena descriptors point into. Zeroed, like
+/// fresh guest RAM, but by calloc: the pages come from the kernel already
+/// zero and are only touched when a descriptor first uses them, so a
+/// connection does not pay to clear arena space it never reaches.
 class GuestMemory {
  public:
-  explicit GuestMemory(std::size_t size) : mem_(size) {}
+  explicit GuestMemory(std::size_t size)
+      : mem_(static_cast<std::uint8_t*>(std::calloc(size, 1))), size_(size) {
+    if (mem_ == nullptr && size != 0) throw std::bad_alloc();
+  }
 
   [[nodiscard]] std::span<std::uint8_t> at(std::uint64_t addr,
                                            std::uint32_t len) {
-    if (addr + len > mem_.size())
+    if (addr > size_ || len > size_ - addr)
       throw VirtqError("descriptor addresses outside guest memory");
-    return {mem_.data() + addr, len};
+    return {mem_.get() + addr, len};
   }
-  [[nodiscard]] std::size_t size() const noexcept { return mem_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
  private:
-  std::vector<std::uint8_t> mem_;
+  struct Free {
+    void operator()(std::uint8_t* p) const noexcept { std::free(p); }
+  };
+  std::unique_ptr<std::uint8_t[], Free> mem_;
+  std::size_t size_;
 };
 
 /// Virtio descriptor flags.

@@ -1,5 +1,6 @@
 #include "xdr/xdr.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <limits>
 
@@ -19,6 +20,17 @@ void Encoder::append(const void* data, std::size_t n) {
 
 void Encoder::pad_to_4() {
   while (buf_.size() % 4 != 0) buf_.push_back(0);
+}
+
+void Encoder::append_padded(const void* data, std::size_t n) {
+  // One growth step for the body and its padding together: growing for the
+  // body alone, then again for up to 3 pad bytes, would reallocate and copy
+  // a payload-sized body twice.
+  const std::size_t need = buf_.size() + padded(n);
+  if (need > buf_.capacity())
+    buf_.reserve(std::max(need, 2 * buf_.capacity()));
+  append(data, n);
+  pad_to_4();
 }
 
 void Encoder::put_u32(std::uint32_t v) {
@@ -44,8 +56,7 @@ void Encoder::put_f64(double v) {
 }
 
 void Encoder::put_opaque_fixed(std::span<const std::uint8_t> bytes) {
-  append(bytes.data(), bytes.size());
-  pad_to_4();
+  append_padded(bytes.data(), bytes.size());
 }
 
 void Encoder::put_opaque(std::span<const std::uint8_t> bytes) {
@@ -55,8 +66,7 @@ void Encoder::put_opaque(std::span<const std::uint8_t> bytes) {
 
 void Encoder::put_string(std::string_view s) {
   put_u32(static_cast<std::uint32_t>(s.size()));
-  append(s.data(), s.size());
-  pad_to_4();
+  append_padded(s.data(), s.size());
 }
 
 // --------------------------------- Decoder ---------------------------------
@@ -102,13 +112,17 @@ void Decoder::get_opaque_fixed(std::span<std::uint8_t> out) {
 }
 
 std::vector<std::uint8_t> Decoder::get_opaque(std::uint32_t max_len) {
+  const auto body = get_opaque_view(max_len);
+  return {body.begin(), body.end()};
+}
+
+std::span<const std::uint8_t> Decoder::get_opaque_view(std::uint32_t max_len) {
   const std::uint32_t n = get_u32();
   if (n > max_len) throw XdrError("XDR opaque exceeds maximum length");
   if (n > remaining()) throw XdrError("XDR opaque exceeds buffer");
-  std::vector<std::uint8_t> out(n);
-  if (n > 0) get_opaque_fixed(out);
-  else skip_padding(0);
-  return out;
+  const std::uint8_t* p = take(n);
+  skip_padding(n);
+  return {p, n};
 }
 
 std::string Decoder::get_string(std::uint32_t max_len) {
@@ -122,11 +136,7 @@ std::string Decoder::get_string(std::uint32_t max_len) {
 }
 
 void Decoder::skip_opaque(std::uint32_t max_len) {
-  const std::uint32_t n = get_u32();
-  if (n > max_len) throw XdrError("XDR opaque exceeds maximum length");
-  if (n > remaining()) throw XdrError("XDR opaque exceeds buffer");
-  (void)take(n);
-  skip_padding(n);
+  (void)get_opaque_view(max_len);
 }
 
 void Decoder::expect_exhausted() const {

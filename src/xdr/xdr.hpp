@@ -38,6 +38,13 @@ class Encoder {
  public:
   Encoder() = default;
   explicit Encoder(std::size_t reserve_bytes) { buf_.reserve(reserve_bytes); }
+  /// Adopts `reuse` as the output buffer: its contents are dropped but its
+  /// capacity is kept, so a caller cycling one vector through take() and
+  /// this constructor encodes without reallocating.
+  explicit Encoder(std::vector<std::uint8_t>&& reuse) noexcept
+      : buf_(std::move(reuse)) {
+    buf_.clear();
+  }
 
   void put_u32(std::uint32_t v);
   void put_i32(std::int32_t v) { put_u32(static_cast<std::uint32_t>(v)); }
@@ -53,6 +60,11 @@ class Encoder {
   void put_opaque(std::span<const std::uint8_t> bytes);
   /// String: identical wire format to variable opaque.
   void put_string(std::string_view s);
+  /// Appends bytes that are already XDR-encoded, verbatim (no length, no
+  /// padding): a pre-encoded argument or result body behind a header.
+  void put_raw(std::span<const std::uint8_t> bytes) {
+    append(bytes.data(), bytes.size());
+  }
 
   template <typename E>
     requires std::is_enum_v<E>
@@ -72,6 +84,8 @@ class Encoder {
  private:
   void append(const void* data, std::size_t n);
   void pad_to_4();
+  /// append() plus zero padding to a 4-byte boundary.
+  void append_padded(const void* data, std::size_t n);
 
   std::vector<std::uint8_t> buf_;
 };
@@ -100,6 +114,11 @@ class Decoder {
   void get_opaque_fixed(std::span<std::uint8_t> out);
   /// Reads a length-prefixed opaque; rejects lengths above `max_len`.
   [[nodiscard]] std::vector<std::uint8_t> get_opaque(
+      std::uint32_t max_len = kDefaultMaxLen);
+  /// get_opaque without the copy: same length, bound and padding checks,
+  /// but returns a view of the body inside the decoded buffer, valid for
+  /// as long as that buffer is.
+  [[nodiscard]] std::span<const std::uint8_t> get_opaque_view(
       std::uint32_t max_len = kDefaultMaxLen);
   [[nodiscard]] std::string get_string(std::uint32_t max_len = kDefaultMaxLen);
   /// Advances past a length-prefixed opaque without materialising the body
@@ -151,6 +170,9 @@ inline void xdr_encode(Encoder& enc, const std::string& v) {
 inline void xdr_encode(Encoder& enc, const std::vector<std::uint8_t>& v) {
   enc.put_opaque(v);
 }
+inline void xdr_encode(Encoder& enc, std::span<const std::uint8_t> v) {
+  enc.put_opaque(v);
+}
 template <typename E>
   requires std::is_enum_v<E>
 void xdr_encode(Encoder& enc, E v) {
@@ -167,6 +189,10 @@ inline void xdr_decode(Decoder& dec, double& v) { v = dec.get_f64(); }
 inline void xdr_decode(Decoder& dec, std::string& v) { v = dec.get_string(); }
 inline void xdr_decode(Decoder& dec, std::vector<std::uint8_t>& v) {
   v = dec.get_opaque();
+}
+/// Borrowed variable-length opaque: views the decoder's buffer.
+inline void xdr_decode(Decoder& dec, std::span<const std::uint8_t>& v) {
+  v = dec.get_opaque_view();
 }
 template <typename E>
   requires std::is_enum_v<E>

@@ -403,16 +403,17 @@ TEST(ModelDrc, DuplicateDispatchExecutesHandlerOnce) {
   // lock traffic would make executions diverge inside explore().
   {
     rpc::ServiceRegistry warm;
-    warm.register_proc(100, 1, 5, [](std::span<const std::uint8_t>) {
-      return std::vector<std::uint8_t>{};
-    });
+    warm.register_proc(
+        100, 1, 5,
+        [](std::span<const std::uint8_t>, std::vector<std::uint8_t>&) {});
     warm.enable_duplicate_cache();
     rpc::CallMsg probe;
     probe.xid = 1;
     probe.prog = 100;
     probe.vers = 1;
     probe.proc = 5;
-    (void)warm.dispatch(probe);
+    std::vector<std::uint8_t> results;
+    (void)warm.dispatch(probe, results);
   }
   ExploreOptions opt;
   opt.max_schedules = 2048;
@@ -423,10 +424,12 @@ TEST(ModelDrc, DuplicateDispatchExecutesHandlerOnce) {
     // (If that property broke, the explorer would catch the assert below
     // before any torn counter could confuse the diagnosis.)
     std::atomic<int> executions{0};
-    registry.register_proc(100, 1, 5, [&](std::span<const std::uint8_t>) {
-      executions.fetch_add(1, std::memory_order_relaxed);
-      return std::vector<std::uint8_t>{0xAB};
-    });
+    registry.register_proc(100, 1, 5,
+                           [&](std::span<const std::uint8_t>,
+                               std::vector<std::uint8_t>& results) {
+                             executions.fetch_add(1, std::memory_order_relaxed);
+                             results = {0xAB};
+                           });
     registry.enable_duplicate_cache();
     rpc::CallMsg call;
     call.xid = 77;
@@ -436,7 +439,8 @@ TEST(ModelDrc, DuplicateDispatchExecutesHandlerOnce) {
     int accepted = 0;
     for (int i = 0; i < 2; ++i) {
       mcheck::spawn([&] {
-        const rpc::ReplyMsg reply = registry.dispatch(call);
+        std::vector<std::uint8_t> results;
+        const rpc::ReplyMsg reply = registry.dispatch(call, results);
         sim::sync_point(&accepted);
         if (reply.stat == rpc::ReplyStat::kAccepted) ++accepted;
       });

@@ -334,7 +334,8 @@ TEST(AsyncRpcChannelTest, OversizedReplyFailsUndecodedViaBoundsTable) {
     const rpc::CallMsg call = rpc::decode_call(record);
     rpc::ReplyMsg reply;
     reply.xid = call.xid;
-    reply.results.assign(4096, 0x5A);  // proven max is 4 bytes
+    const std::vector<std::uint8_t> results(4096, 0x5A);  // proven max: 4
+    reply.results = results;
     rpc::RecordWriter writer(*server_end);
     writer.write_record(rpc::encode_reply(reply));
   });
@@ -360,7 +361,8 @@ TEST(AsyncRpcChannelTest, OversizedReplyFailsUndecodedViaBoundsTable) {
     const rpc::CallMsg call = rpc::decode_call(record);
     rpc::ReplyMsg reply;
     reply.xid = call.xid;
-    reply.results = {0, 0, 0, 42};
+    const std::vector<std::uint8_t> results = {0, 0, 0, 42};
+    reply.results = results;
     rpc::RecordWriter writer(*server_end);
     writer.write_record(rpc::encode_reply(reply));
   });

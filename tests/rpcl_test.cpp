@@ -801,6 +801,30 @@ TEST(Codegen, GoldenTaintHeaderForCommittedCricketSpec) {
             std::string::npos);
 }
 
+TEST(Codegen, TopLevelOpaqueArgsAreBorrowedOnBothSides) {
+  const SpecFile spec = parse_spec(read_spec(CRICKET_SPEC_X));
+  const std::string header = generate_header(
+      spec, {.ns = "cricket::core::proto", .taint = true});
+  // Procedure arguments declared opaque<> travel as views: the stub takes
+  // the caller's bytes, the skeleton a view into the received record.
+  EXPECT_NE(header.find("std::int32_t rpc_memcpy_h2d(const ptr_t& a0, "
+                        "std::span<const std::uint8_t> a1) {"),
+            std::string::npos);
+  EXPECT_NE(header.find("virtual std::int32_t rpc_memcpy_h2d("
+                        "::cricket::xdr::Untrusted<ptr_t> a0, "
+                        "std::span<const std::uint8_t> a1) = 0;"),
+            std::string::npos);
+  EXPECT_NE(header.find("virtual u64_result rpc_module_load("
+                        "std::span<const std::uint8_t> a0) = 0;"),
+            std::string::npos);
+  EXPECT_NE(header.find("std::span<const std::uint8_t> a5) = 0;"),
+            std::string::npos);  // rpc_launch_kernel's parameter blob
+  // Struct fields own their bytes.
+  EXPECT_NE(header.find("std::vector<std::uint8_t> data{};"),
+            std::string::npos);  // data_result
+  EXPECT_EQ(header.find("std::vector<std::uint8_t> a"), std::string::npos);
+}
+
 TEST(Codegen, GoldenTaintHeaderForCommittedMigrateSpec) {
   const SpecFile spec = parse_spec(read_spec(MIGRATE_SPEC_X));
   const std::string header = generate_header(

@@ -107,7 +107,13 @@ TEST_F(SessionManagerTest, ReRegistrationKeepsIdAndUpdatesQuota) {
 
 TEST_F(SessionManagerTest, ShardingIsConsistentAndInRange) {
   std::vector<TenantId> ids;
-  for (int i = 0; i < 32; ++i) ids.push_back(add("t" + std::to_string(i)));
+  for (int i = 0; i < 32; ++i) {
+    // Appended rather than "t" + to_string(i): GCC 12 -O3 reports a false
+    // -Wrestrict overlap inside operator+(const char*, string&&).
+    std::string name = "t";
+    name += std::to_string(i);
+    ids.push_back(add(name));
+  }
   for (const auto id : ids) {
     const auto dev = tenants.shard_device(id);
     EXPECT_LT(dev, 4u);

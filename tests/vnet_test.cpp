@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -181,6 +183,22 @@ TEST(Virtqueue, ScatterTruncatesWhenChainTooSmall) {
   const std::vector<std::uint8_t> data(10, 1);
   EXPECT_EQ(vq.scatter(*chain, data), 4u);
   vq.push_used(*head, 4);
+}
+
+TEST(GuestMemory, FreshArenaReadsZero) {
+  // Lazily zeroed (calloc), but zero all the same: a device-writable buffer
+  // that the device only partly fills must never expose stale bytes.
+  constexpr std::size_t kSize = 4u << 20;  // mmap-sized, like the real arenas
+  GuestMemory mem(kSize);
+  ASSERT_EQ(mem.size(), kSize);
+  for (std::size_t addr = 0; addr < kSize; addr += 4096) {
+    const auto page = mem.at(addr, 4096);
+    EXPECT_TRUE(std::all_of(page.begin(), page.end(),
+                            [](std::uint8_t b) { return b == 0; }))
+        << "non-zero byte in page at " << addr;
+  }
+  EXPECT_THROW((void)mem.at(kSize - 4, 8), VirtqError);
+  EXPECT_THROW((void)mem.at(~std::uint64_t{0} - 2, 8), VirtqError);
 }
 
 TEST(Virtqueue, ExhaustionReturnsNullopt) {
@@ -694,6 +712,38 @@ TEST(VirtioNet, ServerEofDeliversEofToGuest) {
   f.server->shutdown();
   std::uint8_t b;
   EXPECT_EQ(f.guest->recv({&b, 1}), 0u);
+}
+
+TEST(VirtioNet, ExactReadIsChargedOnceHoweverItArrives) {
+  // MSG_WAITALL: an exact read costs one receive of its whole length,
+  // whether the bytes came in one send or in many, so its virtual cost
+  // cannot depend on how far the RX backend thread had got.
+  const NetworkProfile p = hermit_like_profile();
+  for (const std::size_t pieces : {std::size_t{1}, std::size_t{64}}) {
+    VirtioFixtureBase f(p);
+    const std::vector<std::uint8_t> data(256u << 10, 0x5A);
+    const std::size_t step = data.size() / pieces;
+    std::thread host([&] {
+      for (std::size_t i = 0; i < pieces; ++i)
+        f.server->send(std::span(data).subspan(i * step, step));
+    });
+    std::vector<std::uint8_t> got(data.size());
+    const sim::Nanos before = f.clock.now();
+    f.guest->recv_exact(got);
+    host.join();
+    EXPECT_EQ(got, data);
+    EXPECT_EQ(f.clock.now() - before, rx_cpu_cost(p, data.size()))
+        << pieces << " sends";
+  }
+  // Same contract on the host-stack transport.
+  sim::SimClock clock;
+  auto [a, b] = rpc::make_pipe_pair();
+  ShapedTransport shaped(p, clock, std::move(a));
+  const std::vector<std::uint8_t> piece(100, 7);
+  for (int i = 0; i < 4; ++i) b->send(piece);
+  std::vector<std::uint8_t> got(400);
+  shaped.recv_exact(got);
+  EXPECT_EQ(clock.now(), rx_cpu_cost(p, got.size()));
 }
 
 TEST(ShapedTransport, ChargesCostsAroundInner) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 #include <cmath>
@@ -253,6 +255,102 @@ TEST(XdrDecoder, SkipOpaqueEnforcesMaxLenAndBuffer) {
   lie.put_u32(100);  // claims 100 bytes, none follow
   Decoder dec(lie.bytes());
   EXPECT_THROW(dec.skip_opaque(), XdrError);
+}
+
+TEST(XdrDecoder, OpaqueViewAliasesTheSourceBuffer) {
+  Encoder enc;
+  enc.put_opaque(std::vector<std::uint8_t>{1, 2, 3, 4, 5});  // 4 + 5 + 3 pad
+  enc.put_u32(0xFEEDF00Du);
+  const std::vector<std::uint8_t> wire(enc.bytes().begin(), enc.bytes().end());
+  Decoder dec(wire);
+  const std::span<const std::uint8_t> view = dec.get_opaque_view();
+  // A view into the record, not a copy: same address, same bytes.
+  EXPECT_EQ(view.data(), wire.data() + 4);
+  EXPECT_EQ(std::vector<std::uint8_t>(view.begin(), view.end()),
+            (std::vector<std::uint8_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(dec.get_u32(), 0xFEEDF00Du);  // padding consumed
+  dec.expect_exhausted();
+}
+
+TEST(XdrDecoder, OpaqueViewZeroLength) {
+  Encoder enc;
+  enc.put_opaque({});
+  enc.put_u32(7);
+  Decoder dec(enc.bytes());
+  EXPECT_TRUE(dec.get_opaque_view().empty());
+  EXPECT_EQ(dec.get_u32(), 7u);
+  dec.expect_exhausted();
+}
+
+TEST(XdrDecoder, OpaqueViewChecksMatchGetOpaque) {
+  Encoder enc;
+  enc.put_opaque(std::vector<std::uint8_t>(10, 0xCD));
+  const std::vector<std::uint8_t> ok(enc.bytes().begin(), enc.bytes().end());
+  {
+    Decoder dec(ok);  // over the caller's bound
+    EXPECT_THROW((void)dec.get_opaque_view(8), XdrError);
+  }
+  {
+    Decoder dec(ok);  // the bound itself is allowed
+    EXPECT_EQ(dec.get_opaque_view(10).size(), 10u);
+  }
+  {
+    Encoder lie;  // claims 100 bytes, 4 follow
+    lie.put_u32(100);
+    lie.put_u32(0);
+    Decoder dec(lie.bytes());
+    EXPECT_THROW((void)dec.get_opaque_view(), XdrError);
+  }
+  {
+    auto bad_pad = ok;  // 4 + 10 body + 2 pad: corrupt the last pad byte
+    bad_pad.back() = 1;
+    Decoder view_dec(bad_pad);
+    EXPECT_THROW((void)view_dec.get_opaque_view(), XdrError);
+    Decoder copy_dec(bad_pad);
+    EXPECT_THROW((void)copy_dec.get_opaque(), XdrError);
+  }
+  {
+    // Body complete, padding cut off.
+    const std::vector<std::uint8_t> no_pad(ok.begin(), ok.end() - 2);
+    Decoder dec(no_pad);
+    EXPECT_THROW((void)dec.get_opaque_view(), XdrError);
+  }
+}
+
+TEST(XdrAdl, BorrowedOpaqueEncodesLikeAVector) {
+  const std::vector<std::uint8_t> bytes = {9, 8, 7};
+  Encoder as_vector;
+  xdr_encode(as_vector, bytes);
+  Encoder as_span;
+  xdr_encode(as_span, std::span<const std::uint8_t>(bytes));
+  EXPECT_TRUE(std::ranges::equal(as_vector.bytes(), as_span.bytes()));
+  Decoder dec(as_span.bytes());
+  std::span<const std::uint8_t> view;
+  xdr_decode(dec, view);
+  EXPECT_TRUE(std::ranges::equal(view, bytes));
+  dec.expect_exhausted();
+}
+
+TEST(XdrEncoder, AdoptedBufferEncodesLikeAFreshOne) {
+  const auto encode = [](Encoder& enc) {
+    enc.put_u32(0xA1B2C3D4u);
+    enc.put_opaque(std::vector<std::uint8_t>{1, 2, 3});
+    enc.put_string("xdr");
+    enc.put_u64(42);
+  };
+  Encoder fresh;
+  encode(fresh);
+  // A used buffer, longer than the new message and full of non-zero bytes:
+  // adopting it must drop the old contents but keep the allocation.
+  std::vector<std::uint8_t> used(4096, 0xEE);
+  const std::uint8_t* storage = used.data();
+  Encoder adopted(std::move(used));
+  EXPECT_EQ(adopted.size(), 0u);
+  encode(adopted);
+  EXPECT_TRUE(std::ranges::equal(adopted.bytes(), fresh.bytes()));
+  const auto taken = adopted.take();
+  EXPECT_EQ(taken.data(), storage);  // no reallocation
+  EXPECT_GE(taken.capacity(), 4096u);
 }
 
 TEST(XdrAdl, OptionalPresentAndAbsent) {

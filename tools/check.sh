@@ -50,6 +50,10 @@
 #                    release races between concurrent client sessions, the
 #                    two-phase load fallback under drop faults, and the LZ/
 #                    fatbin hostile-stream corpus
+#  18. release       Release (-O3) build of every target with the same
+#                    warnings-as-errors flags — performance is measured on
+#                    optimised code, so the optimiser's diagnostics must
+#                    not break the build
 #
 # Stages whose toolchain is unavailable (no clang, no clang-tidy) report
 # SKIP and do not fail the gate. The first FAIL stops the run; a summary
@@ -376,6 +380,15 @@ if should_continue; then
   else
     record modcache "SKIP (build-tsan missing — run tsan stage first)"
   fi
+fi
+
+# ---------------------------------------------------------------- 18: release
+# Compile-only: the suites already ran on the plain tree, and -O3 inlining
+# is where GCC raises diagnostics the -O2 builds never see.
+if should_continue; then
+  run_stage release bash -c '
+    cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release &&
+    cmake --build build-release -j "$0"' "$JOBS"
 fi
 
 # ------------------------------------------------------------------ summary

@@ -48,6 +48,15 @@
 // allocation, and a fatbin whose uncompressed_len field is forged beyond
 // payload * kMaxExpansion must be refused at parse, before decompression.
 //
+// The borrowed decode path is driven in stage one: the server receive path
+// dispatches with the call's args viewing the fuzzed record, and
+// rpc_memcpy_h2d's opaque argument is decoded as a view exactly as the
+// generated skeleton does it, the handler reading every byte so ASan sees
+// any view that reaches past the record. One hostile record is pinned
+// deterministically in main(): an rpc_memcpy_h2d whose opaque length word
+// runs past the end of the record must be refused (kGarbageArgs) before
+// the handler runs.
+//
 // Usage: fuzz_decode [--iters N] [--seed S]
 #include <algorithm>
 #include <cstdint>
@@ -197,6 +206,9 @@ std::vector<std::vector<std::uint8_t>> build_corpus() {
   using namespace cricket::rpc;
   std::vector<std::vector<std::uint8_t>> corpus;
 
+  // call.args and ok.results view `body`; every encode below runs while
+  // the view is current.
+  std::vector<std::uint8_t> body;
   CallMsg call;
   call.xid = 0x11223344;
   call.prog = proto::CRICKET_PROG;
@@ -206,7 +218,8 @@ std::vector<std::vector<std::uint8_t>> build_corpus() {
     cricket::xdr::Encoder enc;
     enc.put_u64(0xDEADBEEF0000ull);
     enc.put_opaque(std::vector<std::uint8_t>(64, 0xAB));
-    call.args = enc.take();
+    body = enc.take();
+    call.args = body;
   }
   corpus.push_back(encode_call(call));
 
@@ -228,7 +241,8 @@ std::vector<std::vector<std::uint8_t>> build_corpus() {
     res.value = 0x1000;
     cricket::xdr::Encoder enc;
     xdr_encode(enc, res);
-    ok.results = enc.take();
+    body = enc.take();
+    ok.results = body;
   }
   corpus.push_back(encode_reply(ok));
 
@@ -339,7 +353,9 @@ std::vector<std::vector<std::uint8_t>> build_blob_corpus() {
   corpus.push_back(image_blob);
 
   // The MIGRATE transfer messages, bare and as full call records through
-  // the same dispatch path a migration target serves.
+  // the same dispatch path a migration target serves. call.args views
+  // `body`.
+  std::vector<std::uint8_t> body;
   CallMsg call;
   call.xid = 0x4D494752;  // "MIGR"
   call.prog = mproto::MIGRATE_PROG;
@@ -352,8 +368,9 @@ std::vector<std::vector<std::uint8_t>> build_blob_corpus() {
         cricket::xdr::Untrusted<std::uint64_t>(image_blob.size());
     cricket::xdr::Encoder enc;
     xdr_encode(enc, begin);
-    call.args = enc.take();
-    corpus.push_back(call.args);
+    body = enc.take();
+    call.args = body;
+    corpus.push_back(body);
   }
   corpus.push_back(encode_call(call));
   {
@@ -367,8 +384,9 @@ std::vector<std::vector<std::uint8_t>> build_blob_corpus() {
     cricket::xdr::Encoder enc;
     xdr_encode(enc, chunk);
     call.proc = mproto::MIG_CHUNK_PROC;
-    call.args = enc.take();
-    corpus.push_back(call.args);
+    body = enc.take();
+    call.args = body;
+    corpus.push_back(body);
   }
   corpus.push_back(encode_call(call));
   {
@@ -378,7 +396,8 @@ std::vector<std::vector<std::uint8_t>> build_blob_corpus() {
     cricket::xdr::Encoder enc;
     xdr_encode(enc, commit);
     call.proc = mproto::MIG_COMMIT_PROC;
-    call.args = enc.take();
+    body = enc.take();
+    call.args = body;
     corpus.push_back(encode_call(call));
   }
   return corpus;
@@ -621,17 +640,49 @@ void consume_taint(cricket::migrate::MigrationTarget& target,
 
 // ------------------------------ consumers -------------------------------
 
+/// rpc_memcpy_h2d executions by build_registry's handler.
+std::uint64_t g_h2d_handled = 0;
+
+/// rpc_memcpy_h2d with the borrowed opaque the generated skeleton uses: the
+/// handler reads every byte of the view, so under ASan a view reaching past
+/// the received record is a reported overflow, not a silent success.
 cricket::rpc::ServiceRegistry build_registry() {
   namespace proto = cricket::proto;
   cricket::rpc::ServiceRegistry registry;
   registry.set_bounds(proto::bounds::kProcBounds);
   registry.register_typed<proto::int_result, std::uint64_t,
-                          std::vector<std::uint8_t>>(
-      proto::CRICKET_PROG, proto::CRICKETVERS_VERS, 13,
-      [](std::uint64_t, std::vector<std::uint8_t>) {
-        return proto::int_result{};
+                          std::span<const std::uint8_t>>(
+      proto::CRICKET_PROG, proto::CRICKETVERS_VERS, proto::RPC_MEMCPY_H2D_PROC,
+      [](std::uint64_t, std::span<const std::uint8_t> data) {
+        ++g_h2d_handled;
+        std::uint32_t sum = 0;
+        for (const std::uint8_t b : data) sum += b;
+        return proto::int_result{0, static_cast<std::int32_t>(sum)};
       });
   return registry;
+}
+
+/// Results and reply buffers reused across every fuzzed dispatch, the way
+/// the serial serve loop reuses them across the calls of a connection.
+struct DispatchBuffers {
+  std::vector<std::uint8_t> results;
+  std::vector<std::uint8_t> reply;
+};
+
+/// Server receive path exactly as serve_transport runs it: bounds pre-flight
+/// first, full decode + dispatch (args borrowed from `buf`) only for records
+/// that pass.
+void serve_one(const cricket::rpc::ServiceRegistry& registry,
+               std::span<const std::uint8_t> buf, DispatchBuffers& bufs) {
+  using namespace cricket::rpc;
+  if (auto rejected = registry.preflight(buf)) {
+    ++g_stats.preflight_rejects;
+    encode_reply(*rejected, bufs.reply);
+    return;
+  }
+  const CallMsg call = decode_call(buf);
+  ++g_stats.dispatches;
+  encode_reply(registry.dispatch(call, bufs.results), bufs.reply);
 }
 
 /// MIGRATE dispatch surface with the real generated decoders and bounds but
@@ -690,16 +741,8 @@ void consume_blob(const cricket::rpc::ServiceRegistry& registry,
 
   // Migration-target receive path: bounds pre-flight, then decode+dispatch,
   // exactly as MigrationTarget::serve runs it.
-  expect_clean([&] {
-    if (auto rejected = registry.preflight(buf)) {
-      ++g_stats.preflight_rejects;
-      (void)encode_reply(*rejected);
-      return;
-    }
-    const CallMsg call = decode_call(buf);
-    ++g_stats.dispatches;
-    (void)encode_reply(registry.dispatch(call));
-  });
+  static DispatchBuffers bufs;
+  expect_clean([&] { serve_one(registry, buf, bufs); });
 }
 
 void consume(const cricket::rpc::ServiceRegistry& registry,
@@ -711,17 +754,22 @@ void consume(const cricket::rpc::ServiceRegistry& registry,
   expect_clean([&] { (void)decode_call(buf); });
   expect_clean([&] { (void)decode_reply(buf); });
 
-  // Server receive path exactly as serve_transport runs it: bounds
-  // pre-flight first, full decode + dispatch only for records that pass.
+  static DispatchBuffers bufs;
+  expect_clean([&] { serve_one(registry, buf, bufs); });
+
+  // Borrowed decodes: an opaque view straight off the buffer, and the
+  // rpc_memcpy_h2d argument list as the generated skeleton decodes it.
   expect_clean([&] {
-    if (auto rejected = registry.preflight(buf)) {
-      ++g_stats.preflight_rejects;
-      (void)encode_reply(*rejected);
-      return;
-    }
-    const CallMsg call = decode_call(buf);
-    ++g_stats.dispatches;
-    (void)encode_reply(registry.dispatch(call));
+    cricket::xdr::Decoder dec(buf);
+    (void)dec.get_opaque_view();
+  });
+  expect_clean([&] {
+    cricket::xdr::Decoder dec(buf);
+    std::uint64_t dst = 0;
+    std::span<const std::uint8_t> data;
+    xdr_decode(dec, dst);
+    xdr_decode(dec, data);
+    dec.expect_exhausted();
   });
 
   // Typed decoders over the generated protocol structs.
@@ -814,6 +862,7 @@ int main(int argc, char** argv) {
   NullMigrateService mig_service;
   const auto mig_registry = build_migrate_registry(mig_service);
 
+  DispatchBuffers pin_bufs;
   {
     // Pin the hostile chunk-length guards deterministically, before fuzzing.
     //
@@ -823,6 +872,7 @@ int main(int argc, char** argv) {
     // guard must then reject it from the count word alone — before the
     // vector allocation — surfacing as the typed GarbageArgsError reply.
     namespace mproto = cricket::migrate::proto;
+    std::vector<std::uint8_t> args;  // call.args views it
     cricket::rpc::CallMsg call;
     call.xid = 1;
     call.prog = mproto::MIGRATE_PROG;
@@ -833,7 +883,8 @@ int main(int argc, char** argv) {
       enc.put_u64(1);           // ticket
       enc.put_u64(0);           // offset
       enc.put_u32(0x7FFFFFFF);  // data<> count with no data behind it
-      call.args = enc.take();
+      args = enc.take();
+      call.args = args;
     }
     {
       const auto record = cricket::rpc::encode_call(call);
@@ -843,7 +894,8 @@ int main(int argc, char** argv) {
                      "pre-flight\n");
         return 1;
       }
-      const auto reply = mig_registry.dispatch(cricket::rpc::decode_call(record));
+      const auto reply = mig_registry.dispatch(
+          cricket::rpc::decode_call(record), pin_bufs.results);
       if (reply.accept_stat != cricket::rpc::AcceptStat::kGarbageArgs) {
         std::fprintf(stderr,
                      "fuzz_decode: hostile 2 GiB chunk count was NOT "
@@ -860,7 +912,8 @@ int main(int argc, char** argv) {
       enc.put_u64(0);
       enc.put_opaque(std::vector<std::uint8_t>(
           static_cast<std::size_t>(mproto::MIG_MAX_CHUNK) + 4, 0x42));
-      call.args = enc.take();
+      args = enc.take();
+      call.args = args;
       if (!mig_registry.preflight(cricket::rpc::encode_call(call))) {
         std::fprintf(stderr,
                      "fuzz_decode: over-bound mig_chunk record was NOT "
@@ -886,6 +939,44 @@ int main(int argc, char** argv) {
                      "raise MigrationVersionError\n");
         return 1;
       }
+    }
+  }
+
+  {
+    // Pin the borrowed-view guard: an rpc_memcpy_h2d record whose opaque
+    // length word claims 64 bytes where 4 follow. The record is inside the
+    // proven interval, so pre-flight admits it; get_opaque_view must then
+    // refuse the length word (kGarbageArgs) before any view of the missing
+    // bytes reaches the handler.
+    namespace proto = cricket::proto;
+    const auto h2d_registry = build_registry();
+    cricket::xdr::Encoder enc;
+    enc.put_u64(0x1000);      // dst
+    enc.put_u32(64);          // opaque<> length word
+    enc.put_u32(0xABABABAB);  // the only body bytes present
+    const std::vector<std::uint8_t> args = enc.take();
+    cricket::rpc::CallMsg call;
+    call.xid = 3;
+    call.prog = proto::CRICKET_PROG;
+    call.vers = proto::CRICKETVERS_VERS;
+    call.proc = proto::RPC_MEMCPY_H2D_PROC;
+    call.args = args;
+    const auto record = cricket::rpc::encode_call(call);
+    if (h2d_registry.preflight(record)) {
+      std::fprintf(stderr,
+                   "fuzz_decode: in-bounds rpc_memcpy_h2d record rejected "
+                   "by pre-flight\n");
+      return 1;
+    }
+    const std::uint64_t handled = g_h2d_handled;
+    const auto reply = h2d_registry.dispatch(
+        cricket::rpc::decode_call(record), pin_bufs.results);
+    if (reply.accept_stat != cricket::rpc::AcceptStat::kGarbageArgs ||
+        g_h2d_handled != handled) {
+      std::fprintf(stderr,
+                   "fuzz_decode: opaque length past the end of the record "
+                   "was NOT refused before the handler\n");
+      return 1;
     }
   }
 
@@ -936,12 +1027,10 @@ int main(int argc, char** argv) {
     hostile_len.prog = cricket::proto::CRICKET_PROG;
     hostile_len.vers = cricket::proto::CRICKETVERS_VERS;
     hostile_len.proc = cricket::proto::RPC_MEMCPY_D2H_PROC;
-    {
-      cricket::xdr::Encoder enc;
-      enc.put_u64(~0ull);
-      hostile_len.args = enc.take();
-    }
-    if (reg.dispatch(hostile_len).accept_stat !=
+    const std::vector<std::uint8_t> hostile_args =
+        cricket::xdr::to_bytes(std::uint64_t{~0ull});
+    hostile_len.args = hostile_args;
+    if (reg.dispatch(hostile_len, pin_bufs.results).accept_stat !=
         cricket::rpc::AcceptStat::kGarbageArgs) {
       std::fprintf(stderr,
                    "fuzz_decode: UINT64_MAX d2h length did NOT surface as "
