@@ -41,13 +41,8 @@ AsyncRemoteCudaApi::AsyncRemoteCudaApi(std::unique_ptr<rpc::Transport> transport
       channel_(std::make_unique<rpcflow::AsyncRpcChannel>(
           std::move(transport), proto::CRICKET_PROG, proto::CRICKETVERS_VERS,
           channel_options(config_))) {
-  if (!config_.tenant.empty()) {
-    rpc::AuthSysParms cred;
-    cred.machinename = config_.tenant;
-    cred.stamp =
-        config_.auth_stamp != 0 ? config_.auth_stamp : next_auth_stamp();
-    channel_->set_credential(cred.to_opaque());
-  }
+  if (auto cred = tenant_credential(config_.tenant, config_.auth_stamp))
+    channel_->set_credential(std::move(*cred));
 }
 
 AsyncRemoteCudaApi::~AsyncRemoteCudaApi() {
@@ -59,23 +54,19 @@ AsyncRemoteCudaApi::~AsyncRemoteCudaApi() {
   }
 }
 
-void AsyncRemoteCudaApi::reap_ready() {
-  while (!pending_.empty() && pending_.front().ready()) {
-    try {
-      const auto err = from_wire(pending_.front().get());
-      if (sticky_ == Error::kSuccess) sticky_ = err;
-    } catch (const rpc::RpcError& e) {
-      const auto err = e.kind() == rpc::RpcError::Kind::kQuotaExceeded
-                           ? Error::kQuotaExceeded
-                       : e.kind() == rpc::RpcError::Kind::kMigrating
-                           ? Error::kMigrating
-                           : Error::kRpcFailure;
-      if (sticky_ == Error::kSuccess) sticky_ = err;
-    } catch (...) {
-      if (sticky_ == Error::kSuccess) sticky_ = Error::kRpcFailure;
-    }
-    pending_.pop_front();
+void AsyncRemoteCudaApi::settle_front() {
+  try {
+    absorb(from_wire(pending_.front().get()));
+  } catch (const rpc::RpcError& e) {
+    absorb(cuda_error(e));
+  } catch (...) {
+    absorb(Error::kRpcFailure);
   }
+  pending_.pop_front();
+}
+
+void AsyncRemoteCudaApi::reap_ready() {
+  while (!pending_.empty() && pending_.front().ready()) settle_front();
 }
 
 template <typename... Args>
@@ -118,14 +109,10 @@ Error AsyncRemoteCudaApi::call_blocking(std::uint32_t proc, Fn&& consume,
     // reply is in hand every earlier pipelined call has executed.
     return consume(fut.get());
   } catch (const rpc::RpcError& e) {
-    // A quota rejection leaves the connection healthy: report it for this
-    // call only, never sticky.
-    if (e.kind() == rpc::RpcError::Kind::kQuotaExceeded)
-      return Error::kQuotaExceeded;
-    // Migration redirect that outlived the channel's re-send budget: the
-    // call never executed; per-call error, never sticky.
-    if (e.kind() == rpc::RpcError::Kind::kMigrating) return Error::kMigrating;
-    return Error::kRpcFailure;
+    // Per-call, never sticky: a quota rejection leaves the connection
+    // healthy, and a migration redirect that outlived the channel's re-send
+    // budget never executed.
+    return cuda_error(e);
   } catch (const rpc::TransportError&) {
     sticky_ = Error::kRpcFailure;
     return Error::kRpcFailure;
@@ -145,21 +132,15 @@ Error AsyncRemoteCudaApi::drain() {
   } catch (const rpc::TransportError&) {
     absorb(Error::kRpcFailure);
   }
-  while (!pending_.empty()) {
-    try {
-      absorb(from_wire(pending_.front().get()));
-    } catch (const rpc::RpcError& e) {
-      absorb(e.kind() == rpc::RpcError::Kind::kQuotaExceeded
-                 ? Error::kQuotaExceeded
-             : e.kind() == rpc::RpcError::Kind::kMigrating
-                 ? Error::kMigrating
-                 : Error::kRpcFailure);
-    } catch (...) {
-      absorb(Error::kRpcFailure);
-    }
-    pending_.pop_front();
-  }
+  while (!pending_.empty()) settle_front();
   return sticky_;
+}
+
+Error AsyncRemoteCudaApi::sync_point(Error err) {
+  absorb(err);
+  drain();
+  return std::exchange(
+      sticky_, sticky_ == Error::kRpcFailure ? sticky_ : Error::kSuccess);
 }
 
 void AsyncRemoteCudaApi::disconnect() {
@@ -240,13 +221,7 @@ Error AsyncRemoteCudaApi::memcpy_d2h(std::span<std::uint8_t> dst,
   stats_.bytes_from_device += dst.size();
   return call_blocking<proto::data_result>(
       proto::RPC_MEMCPY_D2H_PROC,
-      [&](const proto::data_result& res) {
-        if (res.err == 0) {
-          if (res.data.size() != dst.size()) return Error::kRpcFailure;
-          std::copy(res.data.begin(), res.data.end(), dst.begin());
-        }
-        return from_wire(res.err);
-      },
+      [&](const proto::data_result& res) { return copy_d2h(res, dst); },
       src, static_cast<std::uint64_t>(dst.size()));
 }
 
@@ -270,13 +245,7 @@ Error AsyncRemoteCudaApi::memcpy_d2h_async(std::span<std::uint8_t> dst,
   stats_.bytes_from_device += dst.size();
   return call_blocking<proto::data_result>(
       proto::RPC_MEMCPY_D2H_ASYNC_PROC,
-      [&](const proto::data_result& res) {
-        if (res.err == 0) {
-          if (res.data.size() != dst.size()) return Error::kRpcFailure;
-          std::copy(res.data.begin(), res.data.end(), dst.begin());
-        }
-        return from_wire(res.err);
-      },
+      [&](const proto::data_result& res) { return copy_d2h(res, dst); },
       src, static_cast<std::uint64_t>(dst.size()), stream);
 }
 
@@ -295,23 +264,15 @@ Error AsyncRemoteCudaApi::stream_destroy(cuda::StreamId stream) {
 }
 
 Error AsyncRemoteCudaApi::stream_synchronize(cuda::StreamId stream) {
-  const auto err = call_blocking<std::int32_t>(
+  return sync_point(call_blocking<std::int32_t>(
       proto::RPC_STREAM_SYNCHRONIZE_PROC,
-      [&](std::int32_t res) { return from_wire(res); }, stream);
-  absorb(err);
-  drain();
-  return std::exchange(
-      sticky_, sticky_ == Error::kRpcFailure ? sticky_ : Error::kSuccess);
+      [&](std::int32_t res) { return from_wire(res); }, stream));
 }
 
 Error AsyncRemoteCudaApi::device_synchronize() {
-  const auto err = call_blocking<std::int32_t>(
+  return sync_point(call_blocking<std::int32_t>(
       proto::RPC_DEVICE_SYNCHRONIZE_PROC,
-      [&](std::int32_t res) { return from_wire(res); });
-  absorb(err);
-  drain();
-  return std::exchange(
-      sticky_, sticky_ == Error::kRpcFailure ? sticky_ : Error::kSuccess);
+      [&](std::int32_t res) { return from_wire(res); }));
 }
 
 Error AsyncRemoteCudaApi::stream_wait_event(cuda::StreamId stream,
@@ -337,13 +298,9 @@ Error AsyncRemoteCudaApi::event_record(cuda::EventId event,
 }
 
 Error AsyncRemoteCudaApi::event_synchronize(cuda::EventId event) {
-  const auto err = call_blocking<std::int32_t>(
+  return sync_point(call_blocking<std::int32_t>(
       proto::RPC_EVENT_SYNCHRONIZE_PROC,
-      [&](std::int32_t res) { return from_wire(res); }, event);
-  absorb(err);
-  drain();
-  return std::exchange(
-      sticky_, sticky_ == Error::kRpcFailure ? sticky_ : Error::kSuccess);
+      [&](std::int32_t res) { return from_wire(res); }, event));
 }
 
 Error AsyncRemoteCudaApi::event_elapsed_ms(float& ms, cuda::EventId start,

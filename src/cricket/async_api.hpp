@@ -155,11 +155,17 @@ class AsyncRemoteCudaApi final : public cuda::CudaApi {
   cuda::Error call_blocking(std::uint32_t proc, Fn&& consume,
                             const Args&... args);
 
+  /// Waits for the pipeline head and pops it, absorbing its error.
+  void settle_front();
   /// Pops completed futures from the pipeline head, absorbing their errors
   /// into sticky_; never blocks.
   void reap_ready();
-  /// Blocks until the pipeline is empty, absorbing errors into sticky_.
+  /// Folds `err` into sticky_ unless an earlier error is already there.
   void absorb(cuda::Error err);
+  /// The epilogue of a synchronizing call that returned `err`: drains the
+  /// pipeline and returns (and clears, unless the link is dead) the first
+  /// error seen.
+  cuda::Error sync_point(cuda::Error err);
 
   sim::SimClock* clock_;
   AsyncClientConfig config_;

@@ -2,34 +2,23 @@
 
 #include <fstream>
 
-#include "xdr/xdr.hpp"
+#include "xdr/framed_blob.hpp"
 
 namespace cricket::core {
 namespace {
 
-constexpr std::uint8_t kMagic[4] = {'C', 'K', 'P', 'T'};
-/// v1: magic, version, body. v2 appends an FNV-64 checksum of the body so a
+/// v1: magic, version, body. v2 appends the FNV-64 checksum of the body so a
 /// bit-flipped migration transfer fails loudly instead of restoring garbage.
-constexpr std::uint32_t kVersion = 2;
-constexpr std::size_t kHeaderBytes = 8;    // magic + version word
-constexpr std::size_t kChecksumBytes = 8;  // trailing FNV-64 (v2+)
-
-std::uint64_t fnv64(std::span<const std::uint8_t> data) noexcept {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (const std::uint8_t byte : data) {
-    h ^= byte;
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
+constexpr xdr::BlobFormat kFormat{.magic = {'C', 'K', 'P', 'T'},
+                                  .version = 2,
+                                  .checksum_since = 2,
+                                  .noun = "checkpoint"};
 
 }  // namespace
 
 std::vector<std::uint8_t> encode_checkpoint(
     const gpusim::DeviceSnapshot& snap) {
-  xdr::Encoder enc;
-  enc.put_opaque_fixed(kMagic);
-  enc.put_u32(kVersion);
+  xdr::Encoder enc = xdr::begin_blob(kFormat);
   enc.put_u64(snap.next_id);
 
   enc.put_u32(static_cast<std::uint32_t>(snap.allocations.size()));
@@ -64,44 +53,14 @@ std::vector<std::uint8_t> encode_checkpoint(
     enc.put_u64(id);
     enc.put_i64(ts);
   }
-  const std::uint64_t checksum =
-      fnv64(std::span<const std::uint8_t>(enc.bytes()).subspan(kHeaderBytes));
-  enc.put_u64(checksum);
-  return enc.take();
+  return xdr::seal_blob(enc);
 }
 
 gpusim::DeviceSnapshot decode_checkpoint(std::span<const std::uint8_t> bytes) {
   try {
-    std::uint32_t version = 0;
-    {
-      xdr::Decoder hdr(bytes);
-      std::uint8_t magic[4];
-      hdr.get_opaque_fixed(magic);
-      if (std::memcmp(magic, kMagic, 4) != 0)
-        throw CheckpointError("bad checkpoint magic");
-      version = hdr.get_u32();
-    }
-    if (version > kVersion)
-      throw CheckpointVersionError(
-          "checkpoint version " + std::to_string(version) +
-          " is newer than this build understands (max " +
-          std::to_string(kVersion) + ")");
-    if (version == 0) throw CheckpointError("unsupported checkpoint version");
-
-    std::span<const std::uint8_t> body = bytes.subspan(kHeaderBytes);
-    if (version >= 2) {
-      if (body.size() < kChecksumBytes)
-        throw CheckpointError("checkpoint truncated before checksum");
-      body = body.first(body.size() - kChecksumBytes);
-      const std::span<const std::uint8_t> tail =
-          bytes.subspan(bytes.size() - kChecksumBytes);
-      std::uint64_t want = 0;
-      for (const std::uint8_t byte : tail) want = (want << 8) | byte;
-      if (fnv64(body) != want)
-        throw CheckpointError("checkpoint checksum mismatch");
-    }
-
-    xdr::Decoder dec(body);
+    xdr::Decoder dec(
+        xdr::open_blob<CheckpointError, CheckpointVersionError>(bytes,
+                                                                kFormat));
     gpusim::DeviceSnapshot snap;
     snap.next_id = dec.get_u64();
 

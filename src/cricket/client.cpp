@@ -18,11 +18,27 @@ Error from_wire(std::int32_t err) { return static_cast<Error>(err); }
 
 }  // namespace
 
-std::uint32_t next_auth_stamp() noexcept {
+std::optional<rpc::OpaqueAuth> tenant_credential(const std::string& tenant,
+                                                std::uint32_t stamp) {
+  if (tenant.empty()) return std::nullopt;
   // Starts past 0 so an auto-assigned stamp never collides with the "assign
   // one for me" sentinel in ClientConfig::auth_stamp.
   static std::atomic<std::uint32_t> next{1};
-  return next.fetch_add(1);
+  rpc::AuthSysParms cred;
+  cred.machinename = tenant;
+  cred.stamp = stamp != 0 ? stamp : next.fetch_add(1);
+  return cred.to_opaque();
+}
+
+Error cuda_error(const rpc::RpcError& e) noexcept {
+  switch (e.kind()) {
+    case rpc::RpcError::Kind::kQuotaExceeded:
+      return Error::kQuotaExceeded;
+    case rpc::RpcError::Kind::kMigrating:
+      return Error::kMigrating;
+    default:
+      return Error::kRpcFailure;
+  }
 }
 
 RemoteCudaApi::RemoteCudaApi(std::unique_ptr<rpc::Transport> transport,
@@ -35,13 +51,8 @@ RemoteCudaApi::RemoteCudaApi(std::unique_ptr<rpc::Transport> transport,
            rpc::ClientOptions{.retry = config_.retry,
                               .reconnect = config_.reconnect}),
       stub_(std::make_unique<proto::CRICKETVERSClient>(rpc_)) {
-  if (!config_.tenant.empty()) {
-    rpc::AuthSysParms cred;
-    cred.machinename = config_.tenant;
-    cred.stamp =
-        config_.auth_stamp != 0 ? config_.auth_stamp : next_auth_stamp();
-    rpc_.set_credential(cred.to_opaque());
-  }
+  if (auto cred = tenant_credential(config_.tenant, config_.auth_stamp))
+    rpc_.set_credential(std::move(*cred));
 }
 
 RemoteCudaApi::~RemoteCudaApi() = default;
@@ -64,17 +75,13 @@ Error RemoteCudaApi::forward(const char* name, Fn&& fn) {
   try {
     return fn();
   } catch (const rpc::RpcError& e) {
-    // Quota rejections are per-call and the connection stays healthy, so
-    // they never go sticky — the tenant backs off and retries.
-    if (e.kind() == rpc::RpcError::Kind::kQuotaExceeded)
-      return Error::kQuotaExceeded;
-    // A surfaced migration redirect means the retry budget ran out while
-    // the tenant moved servers. The call never executed and the next call
-    // reconnects through the flipped redirect, so this is not sticky.
-    if (e.kind() == rpc::RpcError::Kind::kMigrating) return Error::kMigrating;
+    // Only an exhausted retry budget goes sticky. Quota rejections leave the
+    // connection healthy (the tenant backs off and retries), and a surfaced
+    // migration redirect never executed: the next call reconnects through
+    // the flipped redirect.
     if (e.kind() == rpc::RpcError::Kind::kDeadlineExceeded)
       sticky_error_ = Error::kRpcFailure;
-    return Error::kRpcFailure;
+    return cuda_error(e);
   } catch (const rpc::TransportError&) {
     sticky_error_ = Error::kRpcFailure;
     return Error::kRpcFailure;
@@ -177,12 +184,7 @@ Error RemoteCudaApi::memcpy_d2h(std::span<std::uint8_t> dst,
   switch (config_.transfer) {
     case TransferMethod::kRpcArgs:
       return forward("cuda.memcpy_d2h", [&] {
-        const auto res = stub_->rpc_memcpy_d2h(src, dst.size());
-        if (res.err == 0) {
-          if (res.data.size() != dst.size()) return Error::kRpcFailure;
-          std::copy(res.data.begin(), res.data.end(), dst.begin());
-        }
-        return from_wire(res.err);
+        return copy_d2h(stub_->rpc_memcpy_d2h(src, dst.size()), dst);
       });
     case TransferMethod::kParallelSockets: {
       if (lanes_.count() == 0) return Error::kInvalidValue;
@@ -228,12 +230,8 @@ Error RemoteCudaApi::memcpy_d2h_async(std::span<std::uint8_t> dst,
                                       cuda::StreamId stream) {
   stats_.bytes_from_device += dst.size();
   return forward("cuda.memcpy_d2h_async", [&] {
-    const auto res = stub_->rpc_memcpy_d2h_async(src, dst.size(), stream);
-    if (res.err == 0) {
-      if (res.data.size() != dst.size()) return Error::kRpcFailure;
-      std::copy(res.data.begin(), res.data.end(), dst.begin());
-    }
-    return from_wire(res.err);
+    return copy_d2h(stub_->rpc_memcpy_d2h_async(src, dst.size(), stream),
+                    dst);
   });
 }
 

@@ -8,8 +8,12 @@
 // exactly like the paper's Rust applications (§3.5).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
+#include <string>
 
 #include "cricket/transfer.hpp"
 #include "cudart/api.hpp"
@@ -63,8 +67,29 @@ struct ClientConfig {
   bool module_cache = false;
 };
 
-/// Process-unique AUTH_SYS stamp source backing the auto-assignment above.
-[[nodiscard]] std::uint32_t next_auth_stamp() noexcept;
+/// The AUTH_SYS credential naming `tenant` as its machinename, stamped
+/// with `stamp` or, when that is 0, a process-unique one (the
+/// auto-assignment above); nullopt when `tenant` is empty. Both cudart
+/// clients present this.
+[[nodiscard]] std::optional<rpc::OpaqueAuth> tenant_credential(
+    const std::string& tenant, std::uint32_t stamp);
+
+/// The cuda::Error a failed RPC surfaces as. Quota rejections and migration
+/// redirects are per-call answers (the connection is healthy); everything
+/// else is kRpcFailure. Whether it goes sticky is each client's call.
+[[nodiscard]] cuda::Error cuda_error(const rpc::RpcError& e) noexcept;
+
+/// Consumes a D2H reply: on success its bytes land in `dst`, which must be
+/// exactly their size (anything else is a misbehaving server).
+template <typename DataResult>
+[[nodiscard]] cuda::Error copy_d2h(const DataResult& res,
+                                   std::span<std::uint8_t> dst) {
+  if (res.err == 0) {
+    if (res.data.size() != dst.size()) return cuda::Error::kRpcFailure;
+    std::copy(res.data.begin(), res.data.end(), dst.begin());
+  }
+  return static_cast<cuda::Error>(res.err);
+}
 
 struct RemoteStats {
   std::uint64_t api_calls = 0;  // forwarded CUDA API calls (paper §4.1)

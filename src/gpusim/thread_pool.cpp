@@ -57,10 +57,8 @@ void ThreadPool::parallel_for_chunks(
   sim::Mutex done_mu;
   sim::CondVar done_cv;
 
-  std::size_t launched = 0;
   for (std::size_t begin = 0; begin < n; begin += chunk) {
     const std::size_t end = std::min(n, begin + chunk);
-    ++launched;
     remaining.fetch_add(1, std::memory_order_relaxed);
     enqueue([&, begin, end] {
       try {
@@ -69,13 +67,14 @@ void ThreadPool::parallel_for_chunks(
         sim::MutexLock lock(err_mu);
         if (!first_error) first_error = std::current_exception();
       }
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        sim::MutexLock lock(done_mu);
+      // Decrement under done_mu: the caller returns — and its frame, which
+      // holds done_mu and done_cv, dies — as soon as it sees zero, so the
+      // last task must be done with both before the caller can look.
+      sim::MutexLock lock(done_mu);
+      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
         done_cv.notify_all();
-      }
     });
   }
-  (void)launched;
   {
     sim::MutexLock lock(done_mu);
     while (remaining.load(std::memory_order_acquire) != 0) done_cv.wait(done_mu);

@@ -1,17 +1,15 @@
 #include "migrate/state.hpp"
 
-#include <cstring>
-
 #include "cricket/checkpoint.hpp"
-#include "xdr/xdr.hpp"
+#include "xdr/framed_blob.hpp"
 
 namespace cricket::migrate {
 namespace {
 
-constexpr std::uint8_t kMagic[4] = {'M', 'I', 'G', 'R'};
-constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kHeaderBytes = 8;    // magic + version word
-constexpr std::size_t kChecksumBytes = 8;  // trailing FNV-64
+constexpr xdr::BlobFormat kFormat{.magic = {'M', 'I', 'G', 'R'},
+                                  .version = 1,
+                                  .checksum_since = 1,
+                                  .noun = "migration image"};
 
 // Hostile-length ceilings, all checked before the corresponding allocation.
 constexpr std::uint32_t kMaxSessions = 1024;
@@ -81,19 +79,8 @@ std::vector<T> decode_handles(xdr::Decoder& dec) {
 
 }  // namespace
 
-std::uint64_t fnv64(std::span<const std::uint8_t> data) noexcept {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (const std::uint8_t byte : data) {
-    h ^= byte;
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
 std::vector<std::uint8_t> encode_image(const MigrationImage& image) {
-  xdr::Encoder enc;
-  enc.put_opaque_fixed(kMagic);
-  enc.put_u32(kVersion);
+  xdr::Encoder enc = xdr::begin_blob(kFormat);
   encode_tenant(enc, image.tenant);
   enc.put_u32(static_cast<std::uint32_t>(image.sessions.size()));
   for (const auto& s : image.sessions) {
@@ -130,43 +117,13 @@ std::vector<std::uint8_t> encode_image(const MigrationImage& image) {
       enc.put_opaque(e.reply);
     }
   }
-  const std::uint64_t checksum =
-      fnv64(std::span<const std::uint8_t>(enc.bytes()).subspan(kHeaderBytes));
-  enc.put_u64(checksum);
-  return enc.take();
+  return xdr::seal_blob(enc);
 }
 
 MigrationImage decode_image(std::span<const std::uint8_t> bytes) {
   try {
-    std::uint32_t version = 0;
-    {
-      xdr::Decoder hdr(bytes);
-      std::uint8_t magic[4];
-      hdr.get_opaque_fixed(magic);
-      if (std::memcmp(magic, kMagic, 4) != 0)
-        throw MigrationError("bad migration image magic");
-      version = hdr.get_u32();
-    }
-    if (version > kVersion)
-      throw MigrationVersionError(
-          "migration image version " + std::to_string(version) +
-          " is newer than this build understands (max " +
-          std::to_string(kVersion) + ")");
-    if (version == 0)
-      throw MigrationError("unsupported migration image version");
-
-    std::span<const std::uint8_t> body = bytes.subspan(kHeaderBytes);
-    if (body.size() < kChecksumBytes)
-      throw MigrationError("migration image truncated before checksum");
-    body = body.first(body.size() - kChecksumBytes);
-    const std::span<const std::uint8_t> tail =
-        bytes.subspan(bytes.size() - kChecksumBytes);
-    std::uint64_t want = 0;
-    for (const std::uint8_t byte : tail) want = (want << 8) | byte;
-    if (fnv64(body) != want)
-      throw MigrationError("migration image checksum mismatch");
-
-    xdr::Decoder dec(body);
+    xdr::Decoder dec(
+        xdr::open_blob<MigrationError, MigrationVersionError>(bytes, kFormat));
     MigrationImage image;
     image.tenant = decode_tenant(dec);
     const std::uint32_t ns = dec.get_u32();

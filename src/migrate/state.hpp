@@ -19,6 +19,7 @@
 
 #include "cricket/server.hpp"
 #include "tenancy/session_manager.hpp"
+#include "xdr/fnv.hpp"
 
 namespace cricket::migrate {
 
@@ -41,8 +42,7 @@ struct MigrationImage {
 };
 
 /// FNV-1a over `data`; also the transfer checksum mig_commit verifies.
-[[nodiscard]] std::uint64_t fnv64(
-    std::span<const std::uint8_t> data) noexcept;
+using xdr::fnv64;
 
 [[nodiscard]] std::vector<std::uint8_t> encode_image(
     const MigrationImage& image);

@@ -11,12 +11,46 @@
 namespace cricket::rpc {
 
 namespace {
-
 using Clock = std::chrono::steady_clock;
+}  // namespace
 
-/// Backoff before retry `k` (1-based): capped exponential with deterministic
-/// jitter in [0.5, 1) so two clients sharing a seed never sync their retries
-/// per-call but a re-run with the same seed reproduces the exact schedule.
+std::optional<RpcError> reply_error(const ReplyMsg& reply) {
+  if (reply.stat == ReplyStat::kDenied) {
+    return RpcError(RpcError::Kind::kDenied,
+                    reply.reject_stat == RejectStat::kRpcMismatch
+                        ? "call denied: RPC version mismatch"
+                        : "call denied: authentication error");
+  }
+  switch (reply.accept_stat) {
+    case AcceptStat::kSuccess:
+      return std::nullopt;
+    case AcceptStat::kProgUnavail:
+      return RpcError(RpcError::Kind::kProgUnavail, "program unavailable");
+    case AcceptStat::kProgMismatch: {
+      const auto mi = reply.mismatch.value_or(MismatchInfo{});
+      return RpcError(RpcError::Kind::kProgMismatch,
+                      "program version mismatch (supported " +
+                          std::to_string(mi.low) + ".." +
+                          std::to_string(mi.high) + ")");
+    }
+    case AcceptStat::kProcUnavail:
+      return RpcError(RpcError::Kind::kProcUnavail, "procedure unavailable");
+    case AcceptStat::kGarbageArgs:
+      return RpcError(RpcError::Kind::kGarbageArgs,
+                      "server could not decode arguments");
+    case AcceptStat::kSystemErr:
+      return RpcError(RpcError::Kind::kSystemErr, "server system error");
+    case AcceptStat::kQuotaExceeded:
+      return RpcError(RpcError::Kind::kQuotaExceeded,
+                      std::string("tenant quota exceeded: ") +
+                          quota_reason_name(reply.quota_reason));
+    case AcceptStat::kMigrating:
+      return RpcError(RpcError::Kind::kMigrating,
+                      "tenant is being migrated; retry via reconnect");
+  }
+  return RpcError(RpcError::Kind::kBadReply, "invalid accept_stat");
+}
+
 std::chrono::nanoseconds backoff_for(const RetryPolicy& policy,
                                      std::uint32_t xid, std::uint32_t k) {
   const std::uint32_t shift = std::min(k - 1, 30u);
@@ -28,7 +62,27 @@ std::chrono::nanoseconds backoff_for(const RetryPolicy& policy,
       static_cast<std::int64_t>(static_cast<double>(step.count()) * factor));
 }
 
-}  // namespace
+const RetryCounters& retry_counters() {
+  static const RetryCounters counters{
+      obs::Registry::global().counter(
+          "cricket_rpc_retries_total", {},
+          "RPC call attempts beyond the first (timeout or transport failure)"),
+      obs::Registry::global().counter(
+          "cricket_rpc_deadline_exceeded_total", {},
+          "RPC calls failed after exhausting their deadline/attempt budget"),
+      obs::Registry::global().counter(
+          "cricket_rpc_stale_replies_total", {},
+          "Replies for an older xid dropped while awaiting a retried call"),
+      obs::Registry::global().counter(
+          "cricket_rpc_migrating_redirects_total", {},
+          "kMigrating rejections absorbed by the retry layer (call re-sent "
+          "through the reconnect factory)"),
+      obs::Registry::global().counter(
+          "cricket_rpc_reconnects_total", {},
+          "Client transport reconnects after connection failure"),
+  };
+  return counters;
+}
 
 RpcClient::RpcClient(std::unique_ptr<Transport> transport, std::uint32_t prog,
                      std::uint32_t vers, ClientOptions options)
@@ -47,44 +101,6 @@ RpcClient::~RpcClient() {
   }
 }
 
-std::span<const std::uint8_t> RpcClient::interpret_reply(
-    const ReplyMsg& reply) {
-  if (reply.stat == ReplyStat::kDenied) {
-    throw RpcError(RpcError::Kind::kDenied,
-                   reply.reject_stat == RejectStat::kRpcMismatch
-                       ? "call denied: RPC version mismatch"
-                       : "call denied: authentication error");
-  }
-  switch (reply.accept_stat) {
-    case AcceptStat::kSuccess:
-      return reply.results;
-    case AcceptStat::kProgUnavail:
-      throw RpcError(RpcError::Kind::kProgUnavail, "program unavailable");
-    case AcceptStat::kProgMismatch: {
-      const auto mi = reply.mismatch.value_or(MismatchInfo{});
-      throw RpcError(RpcError::Kind::kProgMismatch,
-                     "program version mismatch (supported " +
-                         std::to_string(mi.low) + ".." +
-                         std::to_string(mi.high) + ")");
-    }
-    case AcceptStat::kProcUnavail:
-      throw RpcError(RpcError::Kind::kProcUnavail, "procedure unavailable");
-    case AcceptStat::kGarbageArgs:
-      throw RpcError(RpcError::Kind::kGarbageArgs,
-                     "server could not decode arguments");
-    case AcceptStat::kSystemErr:
-      throw RpcError(RpcError::Kind::kSystemErr, "server system error");
-    case AcceptStat::kQuotaExceeded:
-      throw RpcError(RpcError::Kind::kQuotaExceeded,
-                     std::string("tenant quota exceeded: ") +
-                         quota_reason_name(reply.quota_reason));
-    case AcceptStat::kMigrating:
-      throw RpcError(RpcError::Kind::kMigrating,
-                     "tenant is being migrated; retry via reconnect");
-  }
-  throw RpcError(RpcError::Kind::kBadReply, "invalid accept_stat");
-}
-
 bool RpcClient::try_reconnect() {
   if (!options_.reconnect) return false;
   std::unique_ptr<Transport> fresh;
@@ -98,10 +114,7 @@ bool RpcClient::try_reconnect() {
   writer_ = RecordWriter(*transport_, options_.max_fragment);
   reader_ = RecordReader(*transport_);
   ++stats_.reconnects;
-  static obs::Counter& reconnects = obs::Registry::global().counter(
-      "cricket_rpc_reconnects_total", {},
-      "Client transport reconnects after connection failure");
-  reconnects.inc();
+  retry_counters().reconnects.inc();
   return true;
 }
 
@@ -128,25 +141,13 @@ std::span<const std::uint8_t> RpcClient::transact(const CallMsg& call) {
                        ", got " + std::to_string(reply.xid) +
                        " (out-of-order or stale reply on a synchronous "
                        "channel)");
-  return interpret_reply(reply);
+  if (auto error = reply_error(reply)) throw *error;
+  return reply.results;
 }
 
 std::span<const std::uint8_t> RpcClient::transact_retrying(
     const CallMsg& call) {
-  static obs::Counter& retries_total = obs::Registry::global().counter(
-      "cricket_rpc_retries_total", {},
-      "RPC call attempts beyond the first (timeout or transport failure)");
-  static obs::Counter& deadline_total = obs::Registry::global().counter(
-      "cricket_rpc_deadline_exceeded_total", {},
-      "RPC calls failed after exhausting their deadline/attempt budget");
-  static obs::Counter& stale_total = obs::Registry::global().counter(
-      "cricket_rpc_stale_replies_total", {},
-      "Replies for an older xid dropped while awaiting a retried call");
-  static obs::Counter& migrating_total = obs::Registry::global().counter(
-      "cricket_rpc_migrating_redirects_total", {},
-      "kMigrating rejections absorbed by the retry layer (call re-sent "
-      "through the reconnect factory)");
-
+  const RetryCounters& counters = retry_counters();
   const RetryPolicy& policy = options_.retry;
   const bool retryable =
       policy.assume_at_most_once ||
@@ -164,7 +165,7 @@ std::span<const std::uint8_t> RpcClient::transact_retrying(
 
   auto give_up = [&](const char* why) -> RpcError {
     ++stats_.deadline_exceeded;
-    deadline_total.inc();
+    counters.deadline_exceeded.inc();
     return RpcError(RpcError::Kind::kDeadlineExceeded,
                     "proc " + std::to_string(call.proc) + " xid " +
                         std::to_string(call.xid) + ": " + why);
@@ -207,28 +208,26 @@ std::span<const std::uint8_t> RpcClient::transact_retrying(
         }
         if (reply.xid == call.xid) {
           (void)transport_->set_recv_timeout(std::chrono::nanoseconds::zero());
-          try {
-            return interpret_reply(reply);
-          } catch (const RpcError& e) {
-            if (e.kind() != RpcError::Kind::kMigrating) throw;
-            // The tenant is frozen for live migration; the call never
-            // executed, so re-sending the same xid is safe regardless of
-            // idempotency. Reconnect through the factory so the re-send
-            // follows the migration's redirect once it flips, then fall to
-            // the backoff/retry decision below.
-            ++stats_.migrating_redirects;
-            migrating_total.inc();
-            migrating = true;
-            (void)try_reconnect();
-            break;
-          }
+          const auto error = reply_error(reply);
+          if (!error) return reply.results;
+          if (error->kind() != RpcError::Kind::kMigrating) throw *error;
+          // The tenant is frozen for live migration; the call never
+          // executed, so re-sending the same xid is safe regardless of
+          // idempotency. Reconnect through the factory so the re-send
+          // follows the migration's redirect once it flips, then fall to
+          // the backoff/retry decision below.
+          ++stats_.migrating_redirects;
+          counters.migrating_redirects.inc();
+          migrating = true;
+          (void)try_reconnect();
+          break;
         }
         // A slow answer to an attempt we already gave up on (or to an
         // earlier call whose retry was answered from the server's duplicate
         // cache). Drain it and keep waiting for ours.
         if (static_cast<std::int32_t>(reply.xid - call.xid) < 0) {
           ++stats_.stale_replies;
-          stale_total.inc();
+          counters.stale_replies.inc();
           continue;
         }
         throw RpcError(RpcError::Kind::kBadReply,
@@ -265,7 +264,7 @@ std::span<const std::uint8_t> RpcClient::transact_retrying(
     if (Clock::now() + pause >= hard_deadline)
       throw give_up("deadline exceeded during backoff");
     ++stats_.retries;
-    retries_total.inc();
+    counters.retries.inc();
     std::this_thread::sleep_for(pause);
   }
 }

@@ -10,10 +10,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "rpc/record.hpp"
 #include "rpc/rpc_msg.hpp"
@@ -80,6 +82,29 @@ struct RetryPolicy {
   bool assume_at_most_once = true;
   std::vector<std::uint32_t> idempotent_procs{};
 };
+
+/// The caller-visible error of a reply: nullopt for an accepted SUCCESS,
+/// otherwise the RpcError a denied or unsuccessful reply maps to. The one
+/// classification both client datapaths (RpcClient, rpcflow's channel) use.
+[[nodiscard]] std::optional<RpcError> reply_error(const ReplyMsg& reply);
+
+/// Backoff before retry `k` (1-based): capped exponential with deterministic
+/// jitter in [0.5, 1) so two clients sharing a seed never sync their retries
+/// per-call but a re-run with the same seed reproduces the exact schedule.
+[[nodiscard]] std::chrono::nanoseconds backoff_for(const RetryPolicy& policy,
+                                                   std::uint32_t xid,
+                                                   std::uint32_t k);
+
+/// The retry layer's process-wide counters, shared by both client
+/// datapaths.
+struct RetryCounters {
+  obs::Counter& retries;
+  obs::Counter& deadline_exceeded;
+  obs::Counter& stale_replies;
+  obs::Counter& migrating_redirects;
+  obs::Counter& reconnects;
+};
+[[nodiscard]] const RetryCounters& retry_counters();
 
 struct ClientOptions {
   std::uint32_t max_fragment = RecordWriter::kDefaultMaxFragment;
@@ -187,8 +212,6 @@ class RpcClient {
   std::span<const std::uint8_t> transact(const CallMsg& call);
   /// transact() with deadlines, retries and reconnects (RetryPolicy).
   std::span<const std::uint8_t> transact_retrying(const CallMsg& call);
-  /// Maps an accepted/denied reply to results-or-RpcError.
-  static std::span<const std::uint8_t> interpret_reply(const ReplyMsg& reply);
   [[nodiscard]] bool try_reconnect();
 
   std::unique_ptr<Transport> transport_;

@@ -3,6 +3,7 @@
 #include <deque>
 
 #include "obs/trace.hpp"
+#include "xdr/fnv.hpp"
 #include "xdr/taint.hpp"
 
 namespace cricket::rpc {
@@ -79,15 +80,12 @@ void ServiceRegistry::DrcState::evict_locked() {
 /// FNV-1a over the credential (flavor + body): stable client identity for
 /// the duplicate-request cache without parsing any particular auth scheme.
 std::uint64_t drc_client_id(const OpaqueAuth& cred) noexcept {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  const auto mix = [&h](std::uint8_t byte) {
-    h ^= byte;
-    h *= 0x100000001B3ull;
-  };
   const auto flavor = static_cast<std::uint32_t>(cred.flavor);
-  for (int i = 0; i < 4; ++i) mix(static_cast<std::uint8_t>(flavor >> (8 * i)));
-  for (const std::uint8_t byte : cred.body) mix(byte);
-  return h;
+  const std::uint8_t flavor_le[4] = {
+      static_cast<std::uint8_t>(flavor), static_cast<std::uint8_t>(flavor >> 8),
+      static_cast<std::uint8_t>(flavor >> 16),
+      static_cast<std::uint8_t>(flavor >> 24)};
+  return xdr::fnv64(cred.body, xdr::fnv64(flavor_le));
 }
 
 void ServiceRegistry::DrcState::insert_locked(const DrcKey& key,
@@ -237,21 +235,33 @@ ReplyMsg ServiceRegistry::execute(const CallMsg& call,
 
 namespace {
 
-/// Pipelined connection service: reader (caller thread) -> bounded worker
-/// pool -> coalescing writer thread. Replies complete out of order when
-/// more than one worker runs; the client matches them by xid.
-class PipelinedConnection {
+/// One connection's service: intake (pre-flight -> admit -> decode) and
+/// execute (dispatch -> admission_complete -> encode reply), run in one of
+/// two shapes. Zero workers is the paper's single-threaded RPC library: each
+/// record is answered inline, on the calling thread, before the next one is
+/// read. Workers >= 1 pipeline it: reader (calling thread) -> bounded worker
+/// pool -> coalescing writer thread; replies complete out of order when more
+/// than one worker runs, and the client matches them by xid.
+class Connection {
  public:
-  PipelinedConnection(const ServiceRegistry& registry, Transport& transport,
-                      const ServeOptions& options)
-      : registry_(&registry), transport_(&transport), options_(options) {}
+  Connection(const ServiceRegistry& registry, Transport& transport,
+             const ServeOptions& options)
+      : registry_(&registry),
+        transport_(&transport),
+        options_(options),
+        writer_(transport, options.max_fragment) {}
 
   void run() CRICKET_EXCLUDES(mu_) {
+    if (options_.workers == 0) {
+      // Exact-size reads, so each read is charged to the clock once.
+      read_loop(RecordReader(*transport_));
+      return;
+    }
     for (std::uint32_t i = 0; i < options_.workers; ++i)
       workers_.emplace_back([this] { worker_loop(); });
     std::thread writer([this] { writer_loop(); });
 
-    read_loop();
+    read_loop(BufferedRecordReader(*transport_));
 
     {
       sim::MutexLock lock(mu_);
@@ -268,8 +278,16 @@ class PipelinedConnection {
   }
 
  private:
-  void read_loop() CRICKET_EXCLUDES(mu_) {
-    BufferedRecordReader reader(*transport_);
+  /// A decoded call and the record its args view.
+  struct QueuedCall {
+    std::vector<std::uint8_t> record;
+    CallMsg call;
+  };
+
+  template <typename Reader>
+  void read_loop(Reader reader) CRICKET_EXCLUDES(mu_) {
+    // Zero workers reuse this buffer for every call; pipelined mode hands
+    // it to the queued call and the next read fills a fresh one.
     std::vector<std::uint8_t> record;
     for (;;) {
       try {
@@ -277,52 +295,84 @@ class PipelinedConnection {
       } catch (const TransportError&) {
         return;  // peer vanished mid-record; nothing to reply to
       }
-      if (auto rejected = registry_->preflight(record)) {
-        // Out-of-bounds length: answer GARBAGE_ARGS without ever decoding.
-        // The reply takes the normal writer path (and an in-flight slot) so
-        // ordering and backpressure stay uniform.
-        sim::MutexLock lock(mu_);
-        while (in_flight_ >= options_.max_in_flight && !write_failed_)
-          slots_cv_.wait(mu_);
-        if (write_failed_) return;
-        ++in_flight_;
-        ready_.push_back(encode_reply(*rejected));
-        lock.unlock();
-        reply_cv_.notify_one();
-        continue;
-      }
-      if (auto rejected = registry_->admit(record)) {
-        // Tenant over quota (or unauthenticated): answer the typed
-        // rejection without decoding, through the normal writer path.
-        sim::MutexLock lock(mu_);
-        while (in_flight_ >= options_.max_in_flight && !write_failed_)
-          slots_cv_.wait(mu_);
-        if (write_failed_) return;
-        ++in_flight_;
-        ready_.push_back(encode_reply(*rejected));
-        lock.unlock();
-        reply_cv_.notify_one();
-        continue;
-      }
-      // The queued call owns the record its args view, so the view stays
-      // valid while it waits; the next read_record fills a fresh buffer.
-      QueuedCall queued{std::move(record), {}};
+      if (!intake(record)) return;
+    }
+  }
+
+  /// Pre-flight -> admit -> decode, then hands the record on. An
+  /// out-of-bounds length (pre-flight) or a tenant over quota or
+  /// unauthenticated (admission) is answered without decoding, and the
+  /// connection stays up. A record that does not parse as a call is dropped
+  /// (a real server cannot reply without an xid it trusts), releasing the
+  /// admission slot it was granted. Returns false once replies can no longer
+  /// be written.
+  bool intake(std::vector<std::uint8_t>& record) CRICKET_EXCLUDES(mu_) {
+    std::optional<ReplyMsg> rejected = registry_->preflight(record);
+    if (!rejected) rejected = registry_->admit(record);
+    CallMsg call;
+    if (!rejected) {
       try {
-        queued.call = decode_call(queued.record);
+        call = decode_call(record);
       } catch (const std::exception&) {
-        // Not parseable as a call: drop it, but release the admission slot
-        // the record was granted above.
         registry_->admission_complete();
-        continue;
+        return true;
       }
-      sim::MutexLock lock(mu_);
-      while (in_flight_ >= options_.max_in_flight && !write_failed_)
-        slots_cv_.wait(mu_);
-      if (write_failed_) return;
-      ++in_flight_;
-      queue_.push_back(std::move(queued));
+    }
+    if (options_.workers == 0) return reply_inline(rejected, call);
+
+    // Rejections take the writer path too (and an in-flight slot), so
+    // ordering and backpressure stay uniform.
+    sim::MutexLock lock(mu_);
+    while (in_flight_ >= options_.max_in_flight && !write_failed_)
+      slots_cv_.wait(mu_);
+    if (write_failed_) return false;
+    ++in_flight_;
+    if (rejected) {
+      ready_.push_back(encode_reply(*rejected));
+      lock.unlock();
+      reply_cv_.notify_one();
+    } else {
+      // Moving the record keeps its heap buffer, so call.args stays valid.
+      queue_.push_back(QueuedCall{std::move(record), std::move(call)});
       lock.unlock();
       work_cv_.notify_one();
+    }
+    return true;
+  }
+
+  /// Dispatch -> admission_complete -> encode reply, on the executing
+  /// thread's reused results buffer.
+  void execute(const CallMsg& call, std::vector<std::uint8_t>& results,
+               std::vector<std::uint8_t>& reply) const {
+    {
+      // Pipelined, the xid crosses from the reader thread to a worker inside
+      // the CallMsg; re-establish it so dispatch-side spans line up with the
+      // client-side spans of the same call.
+      const obs::ScopedXid trace_xid(call.xid);
+      obs::Span span(obs::Layer::kServerDispatch, nullptr, call.args.size());
+      encode_reply(registry_->dispatch(call, results), reply);
+    }
+    registry_->admission_complete();
+  }
+
+  /// Zero workers: one write_record per reply, from buffers reused for every
+  /// call on the connection, so steady-state calls allocate no payload-sized
+  /// buffer.
+  bool reply_inline(const std::optional<ReplyMsg>& rejected,
+                    const CallMsg& call) {
+    try {
+      if (rejected) {
+        encode_reply(*rejected, reply_record_);
+        writer_.write_record(reply_record_);
+        return true;
+      }
+      execute(call, results_, reply_record_);
+      const obs::ScopedXid trace_xid(call.xid);
+      obs::Span span(obs::Layer::kServerReply);
+      writer_.write_record(reply_record_);
+      return true;
+    } catch (const TransportError&) {
+      return false;
     }
   }
 
@@ -336,18 +386,8 @@ class PipelinedConnection {
       const QueuedCall queued = std::move(queue_.front());
       queue_.pop_front();
       lock.unlock();
-      const CallMsg& call = queued.call;
       std::vector<std::uint8_t> record;
-      {
-        // The xid crosses from the reader thread to this worker inside the
-        // CallMsg; re-establish it so dispatch-side spans line up with the
-        // client-side spans of the same call.
-        const obs::ScopedXid trace_xid(call.xid);
-        obs::Span span(obs::Layer::kServerDispatch, nullptr,
-                       call.args.size());
-        encode_reply(registry_->dispatch(call, results), record);
-      }
-      registry_->admission_complete();
+      execute(queued.call, results, record);
       lock.lock();
       ready_.push_back(std::move(record));
       lock.unlock();
@@ -355,8 +395,10 @@ class PipelinedConnection {
     }
   }
 
+  /// Coalesces all replies that are ready back-to-back into one
+  /// record-marked transport send (amortizes per-send cost; the mirror image
+  /// of the client-side small-call batcher).
   void writer_loop() CRICKET_EXCLUDES(mu_) {
-    RecordWriter writer(*transport_, options_.max_fragment);
     std::vector<std::vector<std::uint8_t>> batch;
     std::vector<std::uint8_t> wire;
     for (;;) {
@@ -371,14 +413,10 @@ class PipelinedConnection {
         std::size_t batch_bytes = 0;
         for (const auto& r : batch) batch_bytes += r.size();
         obs::Span span(obs::Layer::kServerReply, nullptr, batch_bytes);
-        if (options_.coalesce_replies) {
-          wire.clear();
-          for (const auto& r : batch)
-            append_record_marked(wire, r, options_.max_fragment);
-          transport_->send(wire);
-        } else {
-          for (const auto& r : batch) writer.write_record(r);
-        }
+        wire.clear();
+        for (const auto& r : batch)
+          append_record_marked(wire, r, options_.max_fragment);
+        transport_->send(wire);
       } catch (const TransportError&) {
         sim::MutexLock lock(mu_);
         write_failed_ = true;
@@ -399,16 +437,17 @@ class PipelinedConnection {
   Transport* transport_;
   ServeOptions options_;
 
+  // Zero workers: the reply writer and the per-connection results and
+  // reply buffers.
+  RecordWriter writer_;
+  std::vector<std::uint8_t> results_;
+  std::vector<std::uint8_t> reply_record_;
+
+  // Workers >= 1.
   sim::Mutex mu_;
   sim::CondVar work_cv_;   // workers: calls available
   sim::CondVar reply_cv_;  // writer: replies available
   sim::CondVar slots_cv_;  // reader: in-flight slots free
-
-  /// A decoded call and the record its args view.
-  struct QueuedCall {
-    std::vector<std::uint8_t> record;
-    CallMsg call;
-  };
   std::deque<QueuedCall> queue_ CRICKET_GUARDED_BY(mu_);
   // Encoded reply records awaiting the writer.
   std::vector<std::vector<std::uint8_t>> ready_ CRICKET_GUARDED_BY(mu_);
@@ -422,89 +461,15 @@ class PipelinedConnection {
 
 }  // namespace
 
-namespace {
-
-void serve_serial(const ServiceRegistry& registry, Transport& transport,
-                  std::uint32_t max_fragment) {
-  RecordReader reader(transport);
-  RecordWriter writer(transport, max_fragment);
-  // Reused for every call on the connection, so steady-state calls allocate
-  // no payload-sized buffer: the received record (the call's args view it),
-  // the handler's results, and the encoded reply.
-  std::vector<std::uint8_t> record;
-  std::vector<std::uint8_t> results;
-  std::vector<std::uint8_t> reply_record;
-  for (;;) {
-    try {
-      if (!reader.read_record(record)) return;  // clean EOF
-    } catch (const TransportError&) {
-      return;  // peer vanished mid-record; nothing to reply to
-    }
-    if (auto rejected = registry.preflight(record)) {
-      // Out-of-bounds length: answer GARBAGE_ARGS without ever decoding.
-      try {
-        encode_reply(*rejected, reply_record);
-        writer.write_record(reply_record);
-      } catch (const TransportError&) {
-        return;
-      }
-      continue;
-    }
-    if (auto rejected = registry.admit(record)) {
-      // Tenant over quota (or unauthenticated): answer the typed rejection
-      // without decoding; the connection stays up.
-      try {
-        encode_reply(*rejected, reply_record);
-        writer.write_record(reply_record);
-      } catch (const TransportError&) {
-        return;
-      }
-      continue;
-    }
-    ReplyMsg reply;
-    try {
-      const CallMsg call = decode_call(record);
-      const obs::ScopedXid trace_xid(call.xid);
-      obs::Span span(obs::Layer::kServerDispatch, nullptr, call.args.size());
-      reply = registry.dispatch(call, results);
-    } catch (const std::exception&) {
-      // Not parseable as a call: drop it (a real server also cannot reply
-      // without an xid it trusts), releasing its admission slot.
-      registry.admission_complete();
-      continue;
-    }
-    registry.admission_complete();
-    try {
-      const obs::ScopedXid trace_xid(reply.xid);
-      obs::Span span(obs::Layer::kServerReply);
-      encode_reply(reply, reply_record);
-      writer.write_record(reply_record);
-    } catch (const TransportError&) {
-      return;
-    }
-  }
-}
-
-}  // namespace
-
 void serve_transport(const ServiceRegistry& registry, Transport& transport,
                      const ServeOptions& options) {
-  if (options.workers > 0) {
-    PipelinedConnection(registry, transport, options).run();
-  } else {
-    serve_serial(registry, transport, options.max_fragment);
-  }
+  Connection(registry, transport, options).run();
   // Half-close our write side so a pipelined client's reader thread, which
   // blocks on recv between replies, observes end-of-stream.
   try {
     transport.shutdown();
   } catch (const TransportError&) {
   }
-}
-
-void serve_transport(const ServiceRegistry& registry, Transport& transport,
-                     std::uint32_t max_fragment) {
-  serve_transport(registry, transport, ServeOptions{.max_fragment = max_fragment});
 }
 
 TcpRpcServer::TcpRpcServer(const ServiceRegistry& registry,

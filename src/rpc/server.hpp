@@ -187,7 +187,7 @@ class ServiceRegistry {
   void set_admission(AdmissionController* admission) noexcept {
     admission_ = admission;
   }
-  /// Admission hooks consulted by the serve loops between pre-flight and
+  /// Admission hooks consulted by the serve loop between pre-flight and
   /// decode. No controller installed = everything admitted.
   [[nodiscard]] std::optional<ReplyMsg> admit(
       std::span<const std::uint8_t> record) const;
@@ -197,7 +197,7 @@ class ServiceRegistry {
   /// call-level errors; they become reply statuses). Consults the
   /// duplicate-request cache when enabled. The reply's results view
   /// `results`, which this overwrites (keeping its capacity): the handler's
-  /// output, or a copy of the cached reply's. Each serve loop passes one
+  /// output, or a copy of the cached reply's. The serve loop passes one
   /// buffer per connection (per worker when pipelined).
   [[nodiscard]] ReplyMsg dispatch(const CallMsg& call,
                                   std::vector<std::uint8_t>& results) const;
@@ -253,24 +253,22 @@ class ServiceRegistry {
 
 /// Per-connection concurrency options. The default reproduces the paper's
 /// single-threaded RPC processing: decode, dispatch, reply — strictly in
-/// order, one call in flight.
+/// order, one call in flight, on the serving thread.
 struct ServeOptions {
   std::uint32_t max_fragment = RecordWriter::kDefaultMaxFragment;
-  /// 0 = classic synchronous loop. >0 = pipelined mode: calls are decoded as
-  /// fast as they arrive and dispatched to a bounded pool of this many
-  /// worker threads, so several calls from one connection execute
-  /// concurrently and replies may complete out of order (clients match them
-  /// by xid). One worker keeps execution FIFO while still overlapping
-  /// decode/execute/reply — the mode the Cricket server uses to preserve
-  /// CUDA stream semantics.
+  /// 0 = each record is answered before the next is read, on the calling
+  /// thread. >0 = pipelined: calls are decoded as fast as they arrive and
+  /// dispatched to a bounded pool of this many worker threads, so several
+  /// calls from one connection execute concurrently and replies may
+  /// complete out of order (clients match them by xid); a writer thread
+  /// coalesces the replies that are ready back-to-back into one
+  /// record-marked send. One worker keeps execution FIFO while still
+  /// overlapping decode/execute/reply — the mode the Cricket server uses to
+  /// preserve CUDA stream semantics.
   std::uint32_t workers = 0;
   /// Pipelined mode: cap on decoded-but-unreplied calls; the reader stalls
   /// at the cap so a flooding client cannot balloon server memory.
   std::uint32_t max_in_flight = 64;
-  /// Pipelined mode: coalesce all replies that are ready back-to-back into
-  /// one record-marked transport send (amortizes per-send cost; the mirror
-  /// image of the client-side small-call batcher).
-  bool coalesce_replies = true;
 };
 
 /// Serves RPC records on one transport until end-of-stream. Runs inline on
@@ -278,9 +276,7 @@ struct ServeOptions {
 /// joins them before returning); spawn your own thread for background
 /// service.
 void serve_transport(const ServiceRegistry& registry, Transport& transport,
-                     const ServeOptions& options);
-void serve_transport(const ServiceRegistry& registry, Transport& transport,
-                     std::uint32_t max_fragment = RecordWriter::kDefaultMaxFragment);
+                     const ServeOptions& options = {});
 
 /// Threaded TCP server: accept loop plus one detached-joinable thread per
 /// connection. Owns the listener.

@@ -5,74 +5,8 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/rng.hpp"
 
 namespace cricket::rpcflow {
-
-namespace {
-
-/// Capped exponential backoff with deterministic jitter; mirrors the
-/// synchronous client's schedule (rpc/client.cpp) so the two retry layers
-/// behave identically under the same policy.
-std::chrono::nanoseconds backoff_for(const rpc::RetryPolicy& policy,
-                                     std::uint32_t xid, std::uint32_t k) {
-  const std::uint32_t shift = std::min(k - 1, 30u);
-  auto step = policy.backoff_base * (1u << shift);
-  step = std::min(step, policy.backoff_cap);
-  sim::Xoshiro256ss jitter(policy.seed ^ xid ^ k);
-  const double factor = 0.5 + 0.5 * jitter.next_double();
-  return std::chrono::nanoseconds(
-      static_cast<std::int64_t>(static_cast<double>(step.count()) * factor));
-}
-
-/// Maps a decoded reply to the caller-visible outcome: results on success,
-/// an RpcError otherwise (same classification as the synchronous client).
-std::exception_ptr reply_error(const rpc::ReplyMsg& reply) {
-  using rpc::RpcError;
-  if (reply.stat == rpc::ReplyStat::kDenied) {
-    return std::make_exception_ptr(RpcError(
-        RpcError::Kind::kDenied,
-        reply.reject_stat == rpc::RejectStat::kRpcMismatch
-            ? "call denied: RPC version mismatch"
-            : "call denied: authentication error"));
-  }
-  switch (reply.accept_stat) {
-    case rpc::AcceptStat::kSuccess:
-      return nullptr;
-    case rpc::AcceptStat::kProgUnavail:
-      return std::make_exception_ptr(
-          RpcError(RpcError::Kind::kProgUnavail, "program unavailable"));
-    case rpc::AcceptStat::kProgMismatch: {
-      const auto mi = reply.mismatch.value_or(rpc::MismatchInfo{});
-      return std::make_exception_ptr(RpcError(
-          RpcError::Kind::kProgMismatch,
-          "program version mismatch (supported " + std::to_string(mi.low) +
-              ".." + std::to_string(mi.high) + ")"));
-    }
-    case rpc::AcceptStat::kProcUnavail:
-      return std::make_exception_ptr(
-          RpcError(RpcError::Kind::kProcUnavail, "procedure unavailable"));
-    case rpc::AcceptStat::kGarbageArgs:
-      return std::make_exception_ptr(RpcError(
-          RpcError::Kind::kGarbageArgs, "server could not decode arguments"));
-    case rpc::AcceptStat::kSystemErr:
-      return std::make_exception_ptr(
-          RpcError(RpcError::Kind::kSystemErr, "server system error"));
-    case rpc::AcceptStat::kQuotaExceeded:
-      return std::make_exception_ptr(RpcError(
-          RpcError::Kind::kQuotaExceeded,
-          std::string("tenant quota exceeded: ") +
-              rpc::quota_reason_name(reply.quota_reason)));
-    case rpc::AcceptStat::kMigrating:
-      return std::make_exception_ptr(
-          RpcError(RpcError::Kind::kMigrating,
-                   "tenant is being migrated; retry via reconnect"));
-  }
-  return std::make_exception_ptr(
-      RpcError(RpcError::Kind::kBadReply, "invalid accept_stat"));
-}
-
-}  // namespace
 
 AsyncRpcChannel::AsyncRpcChannel(std::unique_ptr<rpc::Transport> transport,
                                  std::uint32_t prog, std::uint32_t vers,
@@ -250,13 +184,7 @@ ChannelStats AsyncRpcChannel::stats() const {
 }
 
 void AsyncRpcChannel::retry_loop() {
-  static obs::Counter& retries_total = obs::Registry::global().counter(
-      "cricket_rpc_retries_total", {},
-      "RPC call attempts beyond the first (timeout or transport failure)");
-  static obs::Counter& deadline_total = obs::Registry::global().counter(
-      "cricket_rpc_deadline_exceeded_total", {},
-      "RPC calls failed after exhausting their deadline/attempt budget");
-
+  const rpc::RetryCounters& counters = rpc::retry_counters();
   using TimePoint = std::chrono::steady_clock::time_point;
   sim::MutexLock lock(mu_);
   for (;;) {
@@ -288,16 +216,17 @@ void AsyncRpcChannel::retry_loop() {
         expired.emplace_back(call.promise, it->first);
         ++stats_.deadline_exceeded;
         ++stats_.failed;
-        deadline_total.inc();
+        counters.deadline_exceeded.inc();
         it = pending_.erase(it);
         continue;
       }
       ++call.attempts;
       call.expires = now + options_.retry.attempt_timeout +
-                     backoff_for(options_.retry, it->first, call.attempts - 1);
+                     rpc::backoff_for(options_.retry, it->first,
+                                      call.attempts - 1);
       resend.push_back(call.record);
       ++stats_.retries;
-      retries_total.inc();
+      counters.retries.inc();
       ++it;
     }
     const auto batcher = batcher_;
@@ -337,17 +266,7 @@ void AsyncRpcChannel::fail_all_locked(const std::exception_ptr& error) {
 }
 
 void AsyncRpcChannel::reader_loop() {
-  static obs::Counter& reconnects_total = obs::Registry::global().counter(
-      "cricket_rpc_reconnects_total", {},
-      "Client transport reconnects after connection failure");
-  static obs::Counter& stale_total = obs::Registry::global().counter(
-      "cricket_rpc_stale_replies_total", {},
-      "Replies for an older xid dropped while awaiting a retried call");
-  static obs::Counter& migrating_total = obs::Registry::global().counter(
-      "cricket_rpc_migrating_redirects_total", {},
-      "kMigrating rejections absorbed by the retry layer (call re-sent "
-      "through the reconnect factory)");
-
+  const rpc::RetryCounters& counters = rpc::retry_counters();
   rpc::BufferedRecordReader reader(*transport_);
   std::vector<std::uint8_t> record;
   for (;;) {
@@ -380,7 +299,7 @@ void AsyncRpcChannel::reader_loop() {
             transport_ = std::move(fresh);
             batcher_->rebind(*transport_);
             ++stats_.reconnects;
-            reconnects_total.inc();
+            counters.reconnects.inc();
             const auto now = std::chrono::steady_clock::now();
             for (auto& [xid, call] : pending_) {
               if (call.record.empty()) continue;
@@ -469,7 +388,7 @@ void AsyncRpcChannel::reader_loop() {
         const auto it = pending_.find(reply.xid);
         if (it == pending_.end()) {
           ++stats_.unmatched;
-          stale_total.inc();
+          counters.stale_replies.inc();
           continue;
         }
         auto& call = it->second;
@@ -487,14 +406,15 @@ void AsyncRpcChannel::reader_loop() {
           ++stats_.replies;
           ++stats_.failed;
           lock.unlock();
-          promise.set_error(reply_error(reply));
+          promise.set_error(
+              std::make_exception_ptr(*rpc::reply_error(reply)));
           slots_cv_.notify_all();
           continue;
         }
       }
-      migrating_total.inc();
+      counters.migrating_redirects.inc();
       std::this_thread::sleep_for(
-          backoff_for(options_.retry, reply.xid, attempt - 1));
+          rpc::backoff_for(options_.retry, reply.xid, attempt - 1));
       sim::MutexLock lock(mu_);
       try {
         transport_->shutdown();
@@ -516,7 +436,7 @@ void AsyncRpcChannel::reader_loop() {
         ++stats_.replies;
       } else {
         ++stats_.unmatched;
-        stale_total.inc();
+        counters.stale_replies.inc();
       }
     }
     if (matched) {
@@ -524,12 +444,12 @@ void AsyncRpcChannel::reader_loop() {
       // connect them to the issuing thread's spans.
       const obs::ScopedXid trace_xid(reply.xid);
       obs::instant(obs::Layer::kChanReply, nullptr, record.size());
-      if (auto error = reply_error(reply); error != nullptr) {
+      if (const auto error = rpc::reply_error(reply)) {
         {
           sim::MutexLock lock(mu_);
           ++stats_.failed;
         }
-        promise.set_error(std::move(error));
+        promise.set_error(std::make_exception_ptr(*error));
       } else {
         // The record buffer is reused for the next read; the future owns
         // its results.

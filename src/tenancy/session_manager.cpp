@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "xdr/fnv.hpp"
+
 namespace cricket::tenancy {
 
 namespace {
@@ -10,12 +12,10 @@ namespace {
 /// independent of registration order so adding tenants never migrates
 /// existing ones between devices.
 std::uint64_t shard_hash(TenantId tenant) noexcept {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (int i = 0; i < 8; ++i) {
-    h ^= static_cast<std::uint8_t>(tenant >> (8 * i));
-    h *= 0x100000001B3ull;
-  }
-  return h;
+  std::uint8_t id_le[8];
+  for (int i = 0; i < 8; ++i)
+    id_le[i] = static_cast<std::uint8_t>(tenant >> (8 * i));
+  return xdr::fnv64(id_le);
 }
 
 }  // namespace

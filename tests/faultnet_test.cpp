@@ -374,48 +374,60 @@ rpc::RetryPolicy test_retry_policy() {
 
 constexpr std::uint32_t kMatrixCalls = 30;
 
+/// Every matrix case runs against both serve modes: zero workers (the
+/// paper's single-threaded loop) and one (the pipelined loop the Cricket
+/// server runs for pipelined clients).
+constexpr std::uint32_t kServeWorkers[] = {0, 1};
+
 void run_serial_matrix(const FaultSpec& spec) {
-  FaultyRpcHarness h(spec);
-  {
-    rpc::ClientOptions options;
-    options.retry = test_retry_policy();
-    rpc::RpcClient client(h.take_client_transport(), kProg, kVers, options);
-    for (std::uint32_t i = 0; i < kMatrixCalls; ++i) {
-      EXPECT_EQ(client.call<std::uint32_t>(kProcEcho, i), i) << "call " << i;
+  for (const std::uint32_t workers : kServeWorkers) {
+    SCOPED_TRACE("serve workers = " + std::to_string(workers));
+    FaultyRpcHarness h(spec, {.workers = workers});
+    {
+      rpc::ClientOptions options;
+      options.retry = test_retry_policy();
+      rpc::RpcClient client(h.take_client_transport(), kProg, kVers, options);
+      for (std::uint32_t i = 0; i < kMatrixCalls; ++i) {
+        EXPECT_EQ(client.call<std::uint32_t>(kProcEcho, i), i)
+            << "call " << i;
+      }
     }
+    // Exactly-once: every logical call executed precisely one time, however
+    // many wire-level attempts it took. Retries of already-executed calls
+    // were answered from the duplicate-request cache.
+    EXPECT_EQ(h.executions(), kMatrixCalls);
   }
-  // Exactly-once: every logical call executed precisely one time, however
-  // many wire-level attempts it took. Retries of already-executed calls were
-  // answered from the duplicate-request cache.
-  EXPECT_EQ(h.executions(), kMatrixCalls);
 }
 
 void run_pipelined_matrix(const FaultSpec& spec, bool batched) {
-  FaultyRpcHarness h(spec);
-  std::uint64_t retries = 0;
-  {
-    rpcflow::ChannelOptions options;
-    options.retry = test_retry_policy();
-    if (batched) {
-      options.batch.enabled = true;
-      options.batch.max_calls = 4;
-      options.batch.deadline = 200us;
+  for (const std::uint32_t workers : kServeWorkers) {
+    SCOPED_TRACE("serve workers = " + std::to_string(workers));
+    FaultyRpcHarness h(spec, {.workers = workers});
+    std::uint64_t retries = 0;
+    {
+      rpcflow::ChannelOptions options;
+      options.retry = test_retry_policy();
+      if (batched) {
+        options.batch.enabled = true;
+        options.batch.max_calls = 4;
+        options.batch.deadline = 200us;
+      }
+      rpcflow::AsyncRpcChannel channel(h.take_client_transport(), kProg,
+                                       kVers, options);
+      std::vector<rpcflow::TypedFuture<std::uint32_t>> futures;
+      for (std::uint32_t i = 0; i < kMatrixCalls; ++i) {
+        futures.push_back(channel.call_async<std::uint32_t>(kProcEcho, i));
+      }
+      channel.flush();
+      for (std::uint32_t i = 0; i < kMatrixCalls; ++i) {
+        EXPECT_EQ(futures[i].get(), i) << "call " << i;
+      }
+      retries = channel.stats().retries;
     }
-    rpcflow::AsyncRpcChannel channel(h.take_client_transport(), kProg, kVers,
-                                     options);
-    std::vector<rpcflow::TypedFuture<std::uint32_t>> futures;
-    for (std::uint32_t i = 0; i < kMatrixCalls; ++i) {
-      futures.push_back(channel.call_async<std::uint32_t>(kProcEcho, i));
+    EXPECT_EQ(h.executions(), kMatrixCalls);
+    if (spec.drop >= 0.2) {
+      EXPECT_GT(retries, 0u);
     }
-    channel.flush();
-    for (std::uint32_t i = 0; i < kMatrixCalls; ++i) {
-      EXPECT_EQ(futures[i].get(), i) << "call " << i;
-    }
-    retries = channel.stats().retries;
-  }
-  EXPECT_EQ(h.executions(), kMatrixCalls);
-  if (spec.drop >= 0.2) {
-    EXPECT_GT(retries, 0u);
   }
 }
 
@@ -461,31 +473,35 @@ TEST(FaultMatrix, SerialSurvivesCorruptionBurst) {
   // Corruption with a budget: the first few messages get mangled (the
   // client-side skip / server-side drop paths plus retry recover), then the
   // link runs clean and every remaining call must succeed.
-  FaultyRpcHarness h(FaultSpec::parse("corrupt=1.0,max_faults=4,seed=42"));
-  rpc::ClientOptions options;
-  options.retry = test_retry_policy();
-  rpc::RpcClient client(h.take_client_transport(), kProg, kVers, options);
-  std::uint32_t ok = 0;
-  for (std::uint32_t i = 0; i < kMatrixCalls; ++i) {
-    try {
-      if (client.call<std::uint32_t>(kProcEcho, i) == i) ++ok;
-    } catch (const rpc::RpcError&) {
-      // A corrupted-but-decodable call can surface as a call-level error;
-      // what must NOT happen is a dead connection.
+  for (const std::uint32_t workers : kServeWorkers) {
+    SCOPED_TRACE("serve workers = " + std::to_string(workers));
+    FaultyRpcHarness h(FaultSpec::parse("corrupt=1.0,max_faults=4,seed=42"),
+                       {.workers = workers});
+    rpc::ClientOptions options;
+    options.retry = test_retry_policy();
+    rpc::RpcClient client(h.take_client_transport(), kProg, kVers, options);
+    std::uint32_t ok = 0;
+    for (std::uint32_t i = 0; i < kMatrixCalls; ++i) {
+      try {
+        if (client.call<std::uint32_t>(kProcEcho, i) == i) ++ok;
+      } catch (const rpc::RpcError&) {
+        // A corrupted-but-decodable call can surface as a call-level error;
+        // what must NOT happen is a dead connection.
+      }
     }
+    // The burst covers at most the first few calls; everything after it is
+    // untouched and must have completed correctly.
+    EXPECT_GE(ok, kMatrixCalls - 8);
+    EXPECT_EQ(client.call<std::uint32_t>(kProcEcho, 77u), 77u);
   }
-  // The burst covers at most the first few calls; everything after it is
-  // untouched and must have completed correctly.
-  EXPECT_GE(ok, kMatrixCalls - 8);
-  EXPECT_EQ(client.call<std::uint32_t>(kProcEcho, 77u), 77u);
 }
 
 TEST(FaultMatrix, SerialRetryIsDeterministicAcrossRuns) {
   // Identical seed, identical workload: the injected-fault counts must be
   // byte-for-byte reproducible (the acceptance bar for "deterministic").
   const auto spec = FaultSpec::parse("drop=0.25,dup=0.1,seed=1234");
-  auto run_once = [&spec] {
-    FaultyRpcHarness h(spec);
+  auto run_once = [&spec](std::uint32_t workers) {
+    FaultyRpcHarness h(spec, {.workers = workers});
     rpc::ClientOptions options;
     options.retry = test_retry_policy();
     rpc::RpcClient client(h.take_client_transport(), kProg, kVers, options);
@@ -499,9 +515,12 @@ TEST(FaultMatrix, SerialRetryIsDeterministicAcrossRuns) {
   // Wall-clock jitter can add spurious timeouts on a loaded machine, so
   // equality of retry counts is asserted only as a lower bound here; the
   // wire-level determinism proof is SameSeedInjectsIdenticalFaults.
-  const auto first = run_once();
-  const auto second = run_once();
-  EXPECT_GT(first + second, 0u);  // drop=0.25 over 40+ messages must bite
+  for (const std::uint32_t workers : kServeWorkers) {
+    SCOPED_TRACE("serve workers = " + std::to_string(workers));
+    const auto first = run_once(workers);
+    const auto second = run_once(workers);
+    EXPECT_GT(first + second, 0u);  // drop=0.25 over 40+ messages must bite
+  }
 }
 
 // -------------------------- deadlines & stickiness --------------------------

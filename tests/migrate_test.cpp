@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -1169,6 +1170,98 @@ TEST_F(MigrateFixture, DrainTimeoutAbortsAndSourceResumes) {
   // happened, and nothing leaked onto the target.
   EXPECT_EQ(api.get_device_count(n), Error::kSuccess);
   EXPECT_FALSE(target_tenants.find("alice").has_value());
+}
+
+/// What `fn` throws.
+std::string error_of(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+// Checkpoints, migration images, DRC keys and tenant shards share one
+// FNV-1a and one blob framing. These pin their bytes and error messages, so
+// the shared code cannot drift from the formats already on disk and on the
+// wire.
+TEST(BlobFraming, EncodingsHashesAndShardsArePinned) {
+  EXPECT_EQ(fnv64({}), 0xCBF29CE484222325ull);
+  const std::string foobar = "foobar";
+  EXPECT_EQ(fnv64(std::span(reinterpret_cast<const std::uint8_t*>(
+                                foobar.data()),
+                            foobar.size())),
+            0x85944171F73967E8ull);
+
+  gpusim::DeviceSnapshot snap;
+  snap.next_id = 7;
+  snap.allocations.push_back(
+      {.addr = 0x1000, .size = 4, .bytes = {1, 2, 3, 4}});
+  snap.streams.emplace_back(3, 42);
+  EXPECT_EQ(fnv64(core::encode_checkpoint(snap)), 0x774E3019C7758204ull);
+
+  MigrationImage image;
+  image.tenant.spec.name = "alice";
+  core::SessionExport session;
+  session.session_id = 5;
+  session.client_id = 9;
+  session.state = snap;
+  image.sessions.push_back(session);
+  EXPECT_EQ(fnv64(encode_image(image)), 0xEFF79B018A8F2DAAull);
+
+  rpc::AuthSysParms cred;
+  cred.machinename = "alice";
+  cred.stamp = 1;
+  EXPECT_EQ(rpc::drc_client_id(cred.to_opaque()), 0xE5A231101B3F9A40ull);
+
+  sim::SimClock clock;
+  tenancy::SessionManager tenants(clock, {.device_count = 4,
+                                          .default_tenant = ""});
+  std::vector<std::uint32_t> shards;
+  for (const char* name : {"a", "b", "c", "d", "e", "f", "g", "h"}) {
+    tenancy::TenantSpec spec;
+    spec.name = name;
+    shards.push_back(tenants.shard_device(tenants.register_tenant(spec)));
+  }
+  EXPECT_EQ(shards, (std::vector<std::uint32_t>{0, 3, 2, 1, 0, 3, 2, 1}));
+}
+
+TEST(BlobFraming, ErrorMessagesNameTheirFormat) {
+  const auto ckpt = core::encode_checkpoint(gpusim::DeviceSnapshot{});
+  MigrationImage alice;
+  alice.tenant.spec.name = "alice";
+  const auto img = encode_image(alice);
+  const auto with = [](std::vector<std::uint8_t> bytes, std::size_t at,
+                       std::uint8_t value) {
+    bytes[at] = value;
+    return bytes;
+  };
+  const auto ckpt_error = [](std::vector<std::uint8_t> bytes) {
+    return error_of([&] { (void)core::decode_checkpoint(bytes); });
+  };
+  const auto img_error = [](std::vector<std::uint8_t> bytes) {
+    return error_of([&] { (void)decode_image(bytes); });
+  };
+  EXPECT_EQ(ckpt_error(with(ckpt, 0, 'X')), "bad checkpoint magic");
+  EXPECT_EQ(ckpt_error(with(ckpt, 7, 0)), "unsupported checkpoint version");
+  EXPECT_EQ(ckpt_error(with(ckpt, 7, 9)),
+            "checkpoint version 9 is newer than this build understands "
+            "(max 2)");
+  EXPECT_EQ(ckpt_error({ckpt.begin(), ckpt.begin() + 12}),
+            "checkpoint truncated before checksum");
+  EXPECT_EQ(ckpt_error(with(ckpt, ckpt.size() - 1, ckpt.back() ^ 1)),
+            "checkpoint checksum mismatch");
+  EXPECT_EQ(img_error(with(img, 0, 'X')), "bad migration image magic");
+  EXPECT_EQ(img_error(with(img, 7, 0)),
+            "unsupported migration image version");
+  EXPECT_EQ(img_error(with(img, 7, 9)),
+            "migration image version 9 is newer than this build "
+            "understands (max 1)");
+  EXPECT_EQ(img_error({img.begin(), img.begin() + 12}),
+            "migration image truncated before checksum");
+  EXPECT_EQ(img_error(with(img, img.size() - 1, img.back() ^ 1)),
+            "migration image checksum mismatch");
 }
 
 }  // namespace

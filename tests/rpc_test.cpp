@@ -793,22 +793,31 @@ TEST(RpcMsg, ReplyTrailingGarbageAfterErrorBodyThrows) {
 /// Same pipe fixture, with a wire-size bounds table installed: records whose
 /// length cannot be a valid encoding of the addressed procedure's arguments
 /// are answered with GarbageArgs before any decode or allocation happens.
+/// Every case runs once per serve mode (zero workers, then one).
 class RpcPreflightTest : public ::testing::Test {
  protected:
   void SetUp() override {
     registry_ = make_test_registry();
     registry_.set_bounds(kBoundsTable);
-    auto [client_end, server_end] = make_pipe_pair();
-    server_end_ = std::move(server_end);
-    server_thread_ =
-        std::thread([this] { serve_transport(registry_, *server_end_); });
-    client_ = std::make_unique<RpcClient>(std::move(client_end), kProg, kVers);
   }
 
   void TearDown() override {
     client_.reset();
     if (server_thread_.joinable()) server_thread_.join();
   }
+
+  /// (Re)connects client_ to a fresh server serving with `workers`.
+  void serve(std::uint32_t workers) {
+    TearDown();
+    auto [client_end, server_end] = make_pipe_pair();
+    server_end_ = std::move(server_end);
+    server_thread_ = std::thread([this, workers] {
+      serve_transport(registry_, *server_end_, {.workers = workers});
+    });
+    client_ = std::make_unique<RpcClient>(std::move(client_end), kProg, kVers);
+  }
+
+  static constexpr std::uint32_t kServeWorkers[] = {0, 1};
 
   static constexpr ProcWireBounds kBoundsTable[] = {
       // echo: opaque<64> worst case = 4-byte count + 64 bytes
@@ -835,52 +844,68 @@ obs::Counter& args_decode_counter() {
 }
 
 TEST_F(RpcPreflightTest, InRangeRecordsPassThrough) {
-  const std::vector<std::uint8_t> payload(60, 0x42);  // 64 encoded: in range
-  EXPECT_EQ(client_->call<std::vector<std::uint8_t>>(kProcEcho, payload),
-            payload);
-  EXPECT_EQ(
-      (client_->call<std::uint32_t>(kProcAdd, std::uint32_t{20},
-                                    std::uint32_t{22})),
-      42u);
+  for (const std::uint32_t workers : kServeWorkers) {
+    SCOPED_TRACE("serve workers = " + std::to_string(workers));
+    serve(workers);
+    const std::vector<std::uint8_t> payload(60, 0x42);  // 64 encoded: in range
+    EXPECT_EQ(client_->call<std::vector<std::uint8_t>>(kProcEcho, payload),
+              payload);
+    EXPECT_EQ(
+        (client_->call<std::uint32_t>(kProcAdd, std::uint32_t{20},
+                                      std::uint32_t{22})),
+        42u);
+  }
 }
 
 TEST_F(RpcPreflightTest, OversizedRecordRejectedBeforeDecode) {
-  const std::uint64_t rejected_before = preflight_rejected_counter().value();
-  const std::uint64_t decodes_before = args_decode_counter().value();
-  try {
-    // 100-byte payload encodes to 104 > the proven max of 68.
-    (void)client_->call<std::vector<std::uint8_t>>(
-        kProcEcho, std::vector<std::uint8_t>(100, 0x42));
-    FAIL() << "expected RpcError";
-  } catch (const RpcError& e) {
-    EXPECT_EQ(e.kind(), RpcError::Kind::kGarbageArgs);
+  for (const std::uint32_t workers : kServeWorkers) {
+    SCOPED_TRACE("serve workers = " + std::to_string(workers));
+    serve(workers);
+    const std::uint64_t rejected_before = preflight_rejected_counter().value();
+    const std::uint64_t decodes_before = args_decode_counter().value();
+    try {
+      // 100-byte payload encodes to 104 > the proven max of 68.
+      (void)client_->call<std::vector<std::uint8_t>>(
+          kProcEcho, std::vector<std::uint8_t>(100, 0x42));
+      FAIL() << "expected RpcError";
+    } catch (const RpcError& e) {
+      EXPECT_EQ(e.kind(), RpcError::Kind::kGarbageArgs);
+    }
+    EXPECT_EQ(preflight_rejected_counter().value(), rejected_before + 1);
+    // The proof of "before decode": the typed decode counter never moved.
+    EXPECT_EQ(args_decode_counter().value(), decodes_before);
   }
-  EXPECT_EQ(preflight_rejected_counter().value(), rejected_before + 1);
-  // The proof of "before decode": the typed decode counter never moved.
-  EXPECT_EQ(args_decode_counter().value(), decodes_before);
 }
 
 TEST_F(RpcPreflightTest, UndersizedRecordRejectedBeforeDecode) {
-  const std::uint64_t rejected_before = preflight_rejected_counter().value();
-  const std::uint64_t decodes_before = args_decode_counter().value();
-  xdr::Encoder enc;
-  enc.put_u32(1);  // add needs exactly 8 bytes of args
-  try {
-    (void)client_->call_raw(kProcAdd, enc.bytes());
-    FAIL() << "expected RpcError";
-  } catch (const RpcError& e) {
-    EXPECT_EQ(e.kind(), RpcError::Kind::kGarbageArgs);
+  for (const std::uint32_t workers : kServeWorkers) {
+    SCOPED_TRACE("serve workers = " + std::to_string(workers));
+    serve(workers);
+    const std::uint64_t rejected_before = preflight_rejected_counter().value();
+    const std::uint64_t decodes_before = args_decode_counter().value();
+    xdr::Encoder enc;
+    enc.put_u32(1);  // add needs exactly 8 bytes of args
+    try {
+      (void)client_->call_raw(kProcAdd, enc.bytes());
+      FAIL() << "expected RpcError";
+    } catch (const RpcError& e) {
+      EXPECT_EQ(e.kind(), RpcError::Kind::kGarbageArgs);
+    }
+    EXPECT_EQ(preflight_rejected_counter().value(), rejected_before + 1);
+    EXPECT_EQ(args_decode_counter().value(), decodes_before);
   }
-  EXPECT_EQ(preflight_rejected_counter().value(), rejected_before + 1);
-  EXPECT_EQ(args_decode_counter().value(), decodes_before);
 }
 
 TEST_F(RpcPreflightTest, ProcsOutsideTheTableAreNotPreflighted) {
-  const std::uint64_t rejected_before = preflight_rejected_counter().value();
-  EXPECT_EQ((client_->call<std::string>(kProcConcatN, std::string("xy"),
-                                        std::uint32_t{2})),
-            "xyxy");
-  EXPECT_EQ(preflight_rejected_counter().value(), rejected_before);
+  for (const std::uint32_t workers : kServeWorkers) {
+    SCOPED_TRACE("serve workers = " + std::to_string(workers));
+    serve(workers);
+    const std::uint64_t rejected_before = preflight_rejected_counter().value();
+    EXPECT_EQ((client_->call<std::string>(kProcConcatN, std::string("xy"),
+                                          std::uint32_t{2})),
+              "xyxy");
+    EXPECT_EQ(preflight_rejected_counter().value(), rejected_before);
+  }
 }
 
 // --------------------------- real TCP integration ---------------------------

@@ -352,8 +352,12 @@ TEST(TwoLevelScheduler, ArchiveEvictionIsFifoBounded) {
 
 // ------------------------- end-to-end admission --------------------------
 
+constexpr std::uint32_t kServeWorkers[] = {0, 1};
+
 /// Full client<->server stack over an in-process pipe with multi-tenant
-/// admission enabled.
+/// admission enabled. Every case runs once per serve mode (zero workers,
+/// then one) against the same tenants: serve_with() closes the sessions,
+/// which releases their quota charges, and starts a fresh server.
 struct TenancyFixture : ::testing::Test {
   TenancyFixture()
       : node(cuda::GpuNode::make_paper_testbed()),
@@ -373,6 +377,7 @@ struct TenancyFixture : ::testing::Test {
                                        std::chrono::nanoseconds(0),
                                    .max_archived = 64};
       options.tenants = &tenants;
+      options.serve.workers = serve_workers;
       server_ = std::make_unique<CricketServer>(*node, options);
     }
     return *server_;
@@ -395,6 +400,12 @@ struct TenancyFixture : ::testing::Test {
     threads.clear();
   }
 
+  void serve_with(std::uint32_t workers) {
+    disconnect_all();
+    server_.reset();
+    serve_workers = workers;
+  }
+
   TenantId add(const std::string& name, TenantQuota quota = {}) {
     tenancy::TenantSpec spec;
     spec.name = name;
@@ -404,119 +415,144 @@ struct TenancyFixture : ::testing::Test {
 
   std::unique_ptr<cuda::GpuNode> node;
   SessionManager tenants;
+  std::uint32_t serve_workers = 0;
   std::unique_ptr<CricketServer> server_;
   std::vector<std::unique_ptr<RemoteCudaApi>> apis;
   std::vector<std::thread> threads;
 };
 
 TEST_F(TenancyFixture, SessionBindsToTenantAndShardsToItsDevice) {
-  const TenantId alice = add("alice");
-  auto& api = connect("alice");
-  int device = -1;
-  ASSERT_EQ(api.get_device(device), Error::kSuccess);
-  EXPECT_EQ(device, static_cast<int>(tenants.shard_device(alice)));
-  EXPECT_GT(tenants.stats(alice).calls_admitted, 0u);
-  EXPECT_EQ(tenants.stats(alice).open_sessions, 1u);
-  disconnect_all();
-  EXPECT_EQ(tenants.stats(alice).open_sessions, 0u);
+  for (const std::uint32_t workers : kServeWorkers) {
+    SCOPED_TRACE("serve workers = " + std::to_string(workers));
+    serve_with(workers);
+    const TenantId alice = add("alice");
+    auto& api = connect("alice");
+    int device = -1;
+    ASSERT_EQ(api.get_device(device), Error::kSuccess);
+    EXPECT_EQ(device, static_cast<int>(tenants.shard_device(alice)));
+    EXPECT_GT(tenants.stats(alice).calls_admitted, 0u);
+    EXPECT_EQ(tenants.stats(alice).open_sessions, 1u);
+    disconnect_all();
+    EXPECT_EQ(tenants.stats(alice).open_sessions, 0u);
+  }
 }
 
 TEST_F(TenancyFixture, UnknownTenantIsDeniedWithoutCrashing) {
-  add("alice");
-  auto& api = connect("mallory");
-  int n = 0;
-  EXPECT_EQ(api.get_device_count(n), Error::kRpcFailure);  // auth denial
-  // The server thread survives; a legitimate tenant still gets service.
-  auto& ok = connect("alice");
-  EXPECT_EQ(ok.get_device_count(n), Error::kSuccess);
+  for (const std::uint32_t workers : kServeWorkers) {
+    SCOPED_TRACE("serve workers = " + std::to_string(workers));
+    serve_with(workers);
+    add("alice");
+    auto& api = connect("mallory");
+    int n = 0;
+    EXPECT_EQ(api.get_device_count(n), Error::kRpcFailure);  // auth denial
+    // The server thread survives; a legitimate tenant still gets service.
+    auto& ok = connect("alice");
+    EXPECT_EQ(ok.get_device_count(n), Error::kSuccess);
+  }
 }
 
 TEST_F(TenancyFixture, RateLimitRejectsBeforeDecodeAndConnectionSurvives) {
-  TenantQuota quota;
-  quota.bytes_per_sec = 1;   // ~nothing refills without explicit advance
-  quota.burst_bytes = 200;   // enough for roughly two small calls
-  const TenantId alice = add("alice", quota);
-  auto& api = connect("alice");
+  for (const std::uint32_t workers : kServeWorkers) {
+    SCOPED_TRACE("serve workers = " + std::to_string(workers));
+    serve_with(workers);
+    TenantQuota quota;
+    quota.bytes_per_sec = 1;   // ~nothing refills without explicit advance
+    quota.burst_bytes = 200;   // enough for roughly two small calls
+    const TenantId alice = add("alice", quota);
+    auto& api = connect("alice");
 
-  int n = 0;
-  ASSERT_EQ(api.get_device_count(n), Error::kSuccess);  // burst covers this
+    int n = 0;
+    ASSERT_EQ(api.get_device_count(n), Error::kSuccess);  // burst covers this
 
-  obs::Counter& decodes =
-      obs::Registry::global().counter("cricket_rpc_args_decode_total", {});
-  // Hammer until the bucket runs dry.
-  Error err = Error::kSuccess;
-  for (int i = 0; i < 16 && err == Error::kSuccess; ++i)
-    err = api.get_device_count(n);
-  ASSERT_EQ(err, Error::kQuotaExceeded);
+    obs::Counter& decodes =
+        obs::Registry::global().counter("cricket_rpc_args_decode_total", {});
+    // Hammer until the bucket runs dry.
+    Error err = Error::kSuccess;
+    for (int i = 0; i < 16 && err == Error::kSuccess; ++i)
+      err = api.get_device_count(n);
+    ASSERT_EQ(err, Error::kQuotaExceeded);
 
-  // The rejection happens at admission: a further over-quota call must not
-  // advance the argument-decode counter.
-  const auto decodes_before = decodes.value();
-  EXPECT_EQ(api.get_device_count(n), Error::kQuotaExceeded);
-  EXPECT_EQ(decodes.value(), decodes_before);
+    // The rejection happens at admission: a further over-quota call must not
+    // advance the argument-decode counter.
+    const auto decodes_before = decodes.value();
+    EXPECT_EQ(api.get_device_count(n), Error::kQuotaExceeded);
+    EXPECT_EQ(decodes.value(), decodes_before);
 
-  // Same connection, after backoff (virtual time refills the bucket):
-  // service resumes — the rejection never dropped the transport.
-  node->clock().advance(sim::kSecond * 300);
-  EXPECT_EQ(api.get_device_count(n), Error::kSuccess);
-  EXPECT_GT(tenants.stats(alice).calls_rejected, 0u);
+    // Same connection, after backoff (virtual time refills the bucket):
+    // service resumes — the rejection never dropped the transport.
+    node->clock().advance(sim::kSecond * 300);
+    EXPECT_EQ(api.get_device_count(n), Error::kSuccess);
+    EXPECT_GT(tenants.stats(alice).calls_rejected, 0u);
+  }
 }
 
 TEST_F(TenancyFixture, DeviceMemoryQuotaChargesAndReleases) {
-  TenantQuota quota;
-  quota.device_mem_bytes = 1 << 20;
-  const TenantId alice = add("alice", quota);
-  auto& api = connect("alice");
+  for (const std::uint32_t workers : kServeWorkers) {
+    SCOPED_TRACE("serve workers = " + std::to_string(workers));
+    serve_with(workers);
+    TenantQuota quota;
+    quota.device_mem_bytes = 1 << 20;
+    const TenantId alice = add("alice", quota);
+    auto& api = connect("alice");
 
-  cuda::DevPtr a = 0;
-  ASSERT_EQ(api.malloc(a, 1 << 20), Error::kSuccess);
-  EXPECT_EQ(tenants.stats(alice).mem_used_bytes, 1u << 20);
+    cuda::DevPtr a = 0;
+    ASSERT_EQ(api.malloc(a, 1 << 20), Error::kSuccess);
+    EXPECT_EQ(tenants.stats(alice).mem_used_bytes, 1u << 20);
 
-  // At quota: the next malloc is refused pre-decode (admission sees the
-  // exhausted quota before the arguments are even parsed).
-  obs::Counter& decodes =
-      obs::Registry::global().counter("cricket_rpc_args_decode_total", {});
-  const auto decodes_before = decodes.value();
-  cuda::DevPtr b = 0;
-  EXPECT_EQ(api.malloc(b, 16), Error::kQuotaExceeded);
-  EXPECT_EQ(decodes.value(), decodes_before);
+    // At quota: the next malloc is refused pre-decode (admission sees the
+    // exhausted quota before the arguments are even parsed).
+    obs::Counter& decodes =
+        obs::Registry::global().counter("cricket_rpc_args_decode_total", {});
+    const auto decodes_before = decodes.value();
+    cuda::DevPtr b = 0;
+    EXPECT_EQ(api.malloc(b, 16), Error::kQuotaExceeded);
+    EXPECT_EQ(decodes.value(), decodes_before);
 
-  ASSERT_EQ(api.free(a), Error::kSuccess);
-  EXPECT_EQ(tenants.stats(alice).mem_used_bytes, 0u);
-  EXPECT_EQ(api.malloc(b, 16), Error::kSuccess);
+    ASSERT_EQ(api.free(a), Error::kSuccess);
+    EXPECT_EQ(tenants.stats(alice).mem_used_bytes, 0u);
+    EXPECT_EQ(api.malloc(b, 16), Error::kSuccess);
 
-  // Partial headroom: a malloc that would overshoot is refused in-band
-  // (all-or-nothing), with the same typed error.
-  cuda::DevPtr c = 0;
-  EXPECT_EQ(api.malloc(c, 1 << 20), Error::kQuotaExceeded);
+    // Partial headroom: a malloc that would overshoot is refused in-band
+    // (all-or-nothing), with the same typed error.
+    cuda::DevPtr c = 0;
+    EXPECT_EQ(api.malloc(c, 1 << 20), Error::kQuotaExceeded);
+  }
 }
 
 TEST_F(TenancyFixture, SessionLimitRejectsExtraConnections) {
-  TenantQuota quota;
-  quota.max_sessions = 1;
-  add("alice", quota);
-  auto& first = connect("alice");
-  int n = 0;
-  ASSERT_EQ(first.get_device_count(n), Error::kSuccess);
-  auto& second = connect("alice");
-  EXPECT_EQ(second.get_device_count(n), Error::kQuotaExceeded);
-  // The first session is unaffected.
-  EXPECT_EQ(first.get_device_count(n), Error::kSuccess);
+  for (const std::uint32_t workers : kServeWorkers) {
+    SCOPED_TRACE("serve workers = " + std::to_string(workers));
+    serve_with(workers);
+    TenantQuota quota;
+    quota.max_sessions = 1;
+    add("alice", quota);
+    auto& first = connect("alice");
+    int n = 0;
+    ASSERT_EQ(first.get_device_count(n), Error::kSuccess);
+    auto& second = connect("alice");
+    EXPECT_EQ(second.get_device_count(n), Error::kQuotaExceeded);
+    // The first session is unaffected.
+    EXPECT_EQ(first.get_device_count(n), Error::kSuccess);
+  }
 }
 
 TEST_F(TenancyFixture, LeakedAllocationsReleaseTenantQuotaOnDisconnect) {
-  TenantQuota quota;
-  quota.device_mem_bytes = 1 << 20;
-  const TenantId alice = add("alice", quota);
-  {
-    auto& api = connect("alice");
-    cuda::DevPtr p = 0;
-    ASSERT_EQ(api.malloc(p, 1 << 20), Error::kSuccess);
-    // Client vanishes without freeing.
+  for (const std::uint32_t workers : kServeWorkers) {
+    SCOPED_TRACE("serve workers = " + std::to_string(workers));
+    serve_with(workers);
+    TenantQuota quota;
+    quota.device_mem_bytes = 1 << 20;
+    const TenantId alice = add("alice", quota);
+    {
+      auto& api = connect("alice");
+      cuda::DevPtr p = 0;
+      ASSERT_EQ(api.malloc(p, 1 << 20), Error::kSuccess);
+      // Client vanishes without freeing.
+    }
+    disconnect_all();
+    EXPECT_EQ(tenants.stats(alice).mem_used_bytes, 0u);
+    EXPECT_EQ(tenants.stats(alice).open_sessions, 0u);
   }
-  disconnect_all();
-  EXPECT_EQ(tenants.stats(alice).mem_used_bytes, 0u);
-  EXPECT_EQ(tenants.stats(alice).open_sessions, 0u);
 }
 
 }  // namespace

@@ -17,7 +17,8 @@
 #                    ASan+UBSan build (clean-throw-no-leak on every mutation)
 #  10. fault-smoke   seeded fault-injection matrix (`ctest -L fault`) against
 #                    the TSan build — loss recovery races are exactly where
-#                    retry/reconnect/DRC state is touched from many threads
+#                    retry/reconnect/DRC state is touched from many threads;
+#                    every matrix client runs against both serve modes
 #  11. tenancy       multi-tenant admission + two-level fair share
 #                    (`ctest -L tenancy`) against the TSan build
 #  12. bench-json    every committed BENCH_*.json parses and still honours
@@ -54,6 +55,10 @@
 #                    warnings-as-errors flags — performance is measured on
 #                    optimised code, so the optimiser's diagnostics must
 #                    not break the build
+#  19. vtime-golden  virtual time is a correctness property: short
+#                    bench_fig6_micro and bench_fig7_bandwidth runs (serial
+#                    paths, byte-identical run to run) must reproduce the
+#                    goldens in tools/goldens/ exactly
 #
 # Stages whose toolchain is unavailable (no clang, no clang-tidy) report
 # SKIP and do not fail the gate. The first FAIL stops the run; a summary
@@ -235,9 +240,11 @@ fi
 
 # ------------------------------------------------------------- 10: fault-smoke
 # The faultnet matrix (drop/dup/reorder/corrupt/partition x serial/pipelined/
-# batched) under ThreadSanitizer: recovery paths — retry timers, reconnect,
-# in-flight resubmission, the duplicate-request cache — are the most
-# thread-entangled code in the tree, so they run where races are fatal.
+# batched clients, each against the zero-worker and the one-worker server)
+# under ThreadSanitizer: recovery paths — retry timers, reconnect, in-flight
+# resubmission, the duplicate-request cache, the pipelined server's worker
+# and writer hand-offs — are the most thread-entangled code in the tree, so
+# they run where races are fatal.
 if should_continue; then
   if [[ -d build-tsan ]]; then
     run_stage fault-smoke ctest --test-dir build-tsan --output-on-failure \
@@ -389,6 +396,26 @@ if should_continue; then
   run_stage release bash -c '
     cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release &&
     cmake --build build-release -j "$0"' "$JOBS"
+fi
+
+# ----------------------------------------------------------- 19: vtime-golden
+# The serial Fig. 6 and Fig. 7 paths charge virtual time deterministically,
+# so their output is diffed byte for byte against committed goldens. A change
+# that recalibrates the cost model on purpose regenerates them with the same
+# two commands (redirected into tools/goldens/) and says so.
+if should_continue; then
+  if [[ ! -x build/bench/bench_fig6_micro ||
+        ! -x build/bench/bench_fig7_bandwidth ]]; then
+    record vtime-golden "SKIP (build/bench missing — run plain stage first)"
+  else
+    run_stage vtime-golden bash -c '
+      out=$(mktemp -d) &&
+      trap "rm -rf $out" EXIT &&
+      build/bench/bench_fig6_micro --calls=5000 >"$out/fig6.txt" &&
+      diff -u tools/goldens/fig6_micro.txt "$out/fig6.txt" &&
+      build/bench/bench_fig7_bandwidth --mib=32 --runs=1 >"$out/fig7.txt" &&
+      diff -u tools/goldens/fig7_bandwidth.txt "$out/fig7.txt"'
+  fi
 fi
 
 # ------------------------------------------------------------------ summary
