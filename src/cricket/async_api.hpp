@@ -17,9 +17,12 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <type_traits>
+#include <utility>
 
-#include "cudart/api.hpp"
+#include "cricket/call_table.hpp"
 #include "env/environment.hpp"
+#include "obs/trace.hpp"
 #include "rpcflow/channel.hpp"
 #include "sim/sim_clock.hpp"
 
@@ -50,6 +53,8 @@ struct AsyncClientConfig {
   bool module_cache = false;
 };
 
+/// Counts RPCs, not CUDA calls: a module load that misses the cache is
+/// two api_calls (probe + upload), both blocking.
 struct AsyncClientStats {
   std::uint64_t api_calls = 0;
   std::uint64_t pipelined = 0;   // fire-and-forget calls
@@ -57,78 +62,18 @@ struct AsyncClientStats {
   std::uint64_t drains = 0;      // synchronization points
   std::uint64_t bytes_to_device = 0;
   std::uint64_t bytes_from_device = 0;
+  /// Same meaning as RemoteStats' module-cache counters.
+  std::uint64_t module_cache_hits = 0;
+  std::uint64_t module_bytes_saved = 0;
 };
 
-class AsyncRemoteCudaApi final : public cuda::CudaApi {
+/// The pipelined client: the shared call table with this class as the
+/// stub's caller (see call()).
+class AsyncRemoteCudaApi final : public CudaCallTable<AsyncRemoteCudaApi> {
  public:
   AsyncRemoteCudaApi(std::unique_ptr<rpc::Transport> transport,
                      sim::SimClock& clock, AsyncClientConfig config = {});
   ~AsyncRemoteCudaApi() override;
-
-  cuda::Error get_device_count(int& count) override;
-  cuda::Error set_device(int device) override;
-  cuda::Error get_device(int& device) override;
-  cuda::Error get_device_properties(cuda::DeviceInfo& info,
-                                    int device) override;
-
-  cuda::Error malloc(cuda::DevPtr& ptr, std::uint64_t size) override;
-  cuda::Error free(cuda::DevPtr ptr) override;
-  cuda::Error memset(cuda::DevPtr ptr, int value, std::uint64_t size) override;
-  cuda::Error memcpy_h2d(cuda::DevPtr dst,
-                         std::span<const std::uint8_t> src) override;
-  cuda::Error memcpy_d2h(std::span<std::uint8_t> dst,
-                         cuda::DevPtr src) override;
-  cuda::Error memcpy_d2d(cuda::DevPtr dst, cuda::DevPtr src,
-                         std::uint64_t size) override;
-  cuda::Error memcpy_h2d_async(cuda::DevPtr dst,
-                               std::span<const std::uint8_t> src,
-                               cuda::StreamId stream) override;
-  cuda::Error memcpy_d2h_async(std::span<std::uint8_t> dst, cuda::DevPtr src,
-                               cuda::StreamId stream) override;
-
-  cuda::Error stream_create(cuda::StreamId& stream) override;
-  cuda::Error stream_destroy(cuda::StreamId stream) override;
-  cuda::Error stream_synchronize(cuda::StreamId stream) override;
-  cuda::Error device_synchronize() override;
-  cuda::Error stream_wait_event(cuda::StreamId stream,
-                                cuda::EventId event) override;
-  cuda::Error event_create(cuda::EventId& event) override;
-  cuda::Error event_destroy(cuda::EventId event) override;
-  cuda::Error event_record(cuda::EventId event,
-                           cuda::StreamId stream) override;
-  cuda::Error event_synchronize(cuda::EventId event) override;
-  cuda::Error event_elapsed_ms(float& ms, cuda::EventId start,
-                               cuda::EventId stop) override;
-
-  cuda::Error module_load(cuda::ModuleId& module,
-                          std::span<const std::uint8_t> image) override;
-  cuda::Error module_unload(cuda::ModuleId module) override;
-  cuda::Error module_get_function(cuda::FuncId& func, cuda::ModuleId module,
-                                  const std::string& name) override;
-  cuda::Error module_get_global(cuda::DevPtr& ptr, cuda::ModuleId module,
-                                const std::string& name) override;
-  cuda::Error launch_kernel(cuda::FuncId func, cuda::Dim3 grid,
-                            cuda::Dim3 block, std::uint32_t shared_bytes,
-                            cuda::StreamId stream,
-                            std::span<const std::uint8_t> params) override;
-
-  cuda::Error blas_sgemm(int m, int n, int k, float alpha, cuda::DevPtr a,
-                         int lda, cuda::DevPtr b, int ldb, float beta,
-                         cuda::DevPtr c, int ldc) override;
-  cuda::Error blas_sgemv(int m, int n, float alpha, cuda::DevPtr a, int lda,
-                         cuda::DevPtr x, float beta, cuda::DevPtr y) override;
-  cuda::Error blas_saxpy(int n, float alpha, cuda::DevPtr x,
-                         cuda::DevPtr y) override;
-  cuda::Error blas_snrm2(int n, cuda::DevPtr x, cuda::DevPtr result) override;
-  cuda::Error solver_sgetrf(int n, cuda::DevPtr a, int lda, cuda::DevPtr ipiv,
-                            cuda::DevPtr info) override;
-  cuda::Error solver_sgetrs(int n, int nrhs, cuda::DevPtr a, int lda,
-                            cuda::DevPtr ipiv, cuda::DevPtr b, int ldb,
-                            cuda::DevPtr info) override;
-  cuda::Error solver_spotrf(int n, cuda::DevPtr a, int lda,
-                            cuda::DevPtr info) override;
-  cuda::Error solver_spotrs(int n, int nrhs, cuda::DevPtr a, int lda,
-                            cuda::DevPtr b, int ldb, cuda::DevPtr info) override;
 
   /// Waits for every pipelined call, folding any failure into the sticky
   /// error. Returns the sticky error (kSuccess when the pipeline is clean).
@@ -145,16 +90,37 @@ class AsyncRemoteCudaApi final : public cuda::CudaApi {
   }
 
  private:
-  /// Fire-and-forget forwarding of a call whose only result is an error
-  /// code; collects completed futures opportunistically.
-  template <typename... Args>
-  cuda::Error enqueue(std::uint32_t proc, const Args&... args);
+  friend class CudaCallTable<AsyncRemoteCudaApi>;
+  friend class proto::CRICKETVERSClient<AsyncRemoteCudaApi>;
 
-  /// Blocking forwarding; returns `Res` through `fn(res)` mapping.
-  template <typename Res, typename Fn, typename... Args>
-  cuda::Error call_blocking(std::uint32_t proc, Fn&& consume,
-                            const Args&... args);
+  /// Runs one CUDA call under its kClientCall span (`name` is the stable
+  /// "cuda.<entry point>" label), mapping RPC failures to a cuda::Error.
+  template <typename Fn>
+  cuda::Error forward(const char* name, Fn&& fn);
+  /// A synchronizing CUDA call: its status-only procedure waits for the
+  /// reply instead of being posted, then the pipeline drains behind it so
+  /// the first pipelined failure surfaces here.
+  template <typename Fn>
+  cuda::Error synchronize(const char* name, Fn&& fn);
 
+  /// The stub's caller. Status-only procedures are fire-and-forget: put on
+  /// the wire (or into the batcher) and answered kSuccess at once; a
+  /// device-side failure surfaces at the next sync point, as a CUDA kernel
+  /// launch's does. Everything else — values, and the status of a
+  /// synchronizing call — waits for its own reply.
+  template <typename Res, typename... Args>
+  Res call(std::uint32_t proc, const Args&... args);
+
+  /// Maps the failures of one CUDA call to a cuda::Error. Per-call, never
+  /// sticky: a quota rejection leaves the connection healthy, and a
+  /// migration redirect that outlived the channel's re-send budget never
+  /// executed. Only a dead transport latches kRpcFailure.
+  template <typename Fn>
+  cuda::Error guarded(Fn&& fn);
+
+  /// Per-RPC prologue: counts the RPC, charges the per-call flavor cost,
+  /// fails fast on a dead link, and collects completed futures.
+  void begin_rpc(bool posted);
   /// Waits for the pipeline head and pops it, absorbing its error.
   void settle_front();
   /// Pops completed futures from the pipeline head, absorbing their errors
@@ -170,9 +136,56 @@ class AsyncRemoteCudaApi final : public cuda::CudaApi {
   sim::SimClock* clock_;
   AsyncClientConfig config_;
   std::unique_ptr<rpcflow::AsyncRpcChannel> channel_;
+  proto::CRICKETVERSClient<AsyncRemoteCudaApi> stub_{*this};
   std::deque<rpcflow::TypedFuture<std::int32_t>> pending_;
+  /// Set by synchronize() for the status-only call it forwards.
+  bool wait_for_status_ = false;
   cuda::Error sticky_ = cuda::Error::kSuccess;
   AsyncClientStats stats_;
 };
+
+template <typename Fn>
+cuda::Error AsyncRemoteCudaApi::forward(const char* name, Fn&& fn) {
+  obs::Span span(obs::Layer::kClientCall, name);
+  return guarded(std::forward<Fn>(fn));
+}
+
+template <typename Fn>
+cuda::Error AsyncRemoteCudaApi::synchronize(const char* name, Fn&& fn) {
+  obs::Span span(obs::Layer::kClientCall, name);
+  wait_for_status_ = true;
+  return sync_point(guarded(std::forward<Fn>(fn)));
+}
+
+template <typename Res, typename... Args>
+Res AsyncRemoteCudaApi::call(std::uint32_t proc, const Args&... args) {
+  if constexpr (std::is_same_v<Res, std::int32_t>) {
+    if (!std::exchange(wait_for_status_, false)) {
+      begin_rpc(/*posted=*/true);
+      pending_.push_back(channel_->call_async<Res>(proc, args...));
+      return static_cast<Res>(cuda::Error::kSuccess);  // "queued"
+    }
+  }
+  begin_rpc(/*posted=*/false);
+  auto fut = channel_->call_async<Res>(proc, args...);
+  channel_->flush();
+  // The server runs this session's calls in order, so by the time this
+  // reply is in hand every earlier pipelined call has executed.
+  return fut.get();
+}
+
+template <typename Fn>
+cuda::Error AsyncRemoteCudaApi::guarded(Fn&& fn) {
+  try {
+    return fn();
+  } catch (const rpc::RpcError& e) {
+    return cuda_error(e);
+  } catch (const rpc::TransportError&) {
+    sticky_ = cuda::Error::kRpcFailure;
+    return cuda::Error::kRpcFailure;
+  } catch (const xdr::XdrError&) {
+    return cuda::Error::kRpcFailure;
+  }
+}
 
 }  // namespace cricket::core

@@ -8,23 +8,22 @@
 // exactly like the paper's Rust applications (§3.5).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 
+#include "cricket/call_table.hpp"
 #include "cricket/transfer.hpp"
 #include "cudart/api.hpp"
 #include "cudart/local_api.hpp"
 #include "env/environment.hpp"
+#include "obs/trace.hpp"
 #include "rpc/client.hpp"
 #include "sim/sim_clock.hpp"
-
-namespace cricket::proto {
-class CRICKETVERSClient;
-}
 
 namespace cricket::core {
 
@@ -74,23 +73,6 @@ struct ClientConfig {
 [[nodiscard]] std::optional<rpc::OpaqueAuth> tenant_credential(
     const std::string& tenant, std::uint32_t stamp);
 
-/// The cuda::Error a failed RPC surfaces as. Quota rejections and migration
-/// redirects are per-call answers (the connection is healthy); everything
-/// else is kRpcFailure. Whether it goes sticky is each client's call.
-[[nodiscard]] cuda::Error cuda_error(const rpc::RpcError& e) noexcept;
-
-/// Consumes a D2H reply: on success its bytes land in `dst`, which must be
-/// exactly their size (anything else is a misbehaving server).
-template <typename DataResult>
-[[nodiscard]] cuda::Error copy_d2h(const DataResult& res,
-                                   std::span<std::uint8_t> dst) {
-  if (res.err == 0) {
-    if (res.data.size() != dst.size()) return cuda::Error::kRpcFailure;
-    std::copy(res.data.begin(), res.data.end(), dst.begin());
-  }
-  return static_cast<cuda::Error>(res.err);
-}
-
 struct RemoteStats {
   std::uint64_t api_calls = 0;  // forwarded CUDA API calls (paper §4.1)
   std::uint64_t bytes_to_device = 0;
@@ -101,7 +83,9 @@ struct RemoteStats {
   std::uint64_t module_bytes_saved = 0;
 };
 
-class RemoteCudaApi final : public cuda::CudaApi {
+/// The synchronous client: the shared call table bound to rpc::RpcClient,
+/// one wire round trip per forwarded CUDA call.
+class RemoteCudaApi final : public CudaCallTable<RemoteCudaApi> {
  public:
   /// `transport` carries the RPC connection (typically from env::connect);
   /// `lanes` are optional parallel-socket side channels.
@@ -110,70 +94,13 @@ class RemoteCudaApi final : public cuda::CudaApi {
                 TransferLanes lanes = {});
   ~RemoteCudaApi() override;
 
-  cuda::Error get_device_count(int& count) override;
-  cuda::Error set_device(int device) override;
-  cuda::Error get_device(int& device) override;
-  cuda::Error get_device_properties(cuda::DeviceInfo& info,
-                                    int device) override;
-
-  cuda::Error malloc(cuda::DevPtr& ptr, std::uint64_t size) override;
-  cuda::Error free(cuda::DevPtr ptr) override;
-  cuda::Error memset(cuda::DevPtr ptr, int value, std::uint64_t size) override;
+  /// The transfer-method branches (§4.2): RPC arguments go through the
+  /// table; parallel sockets stripe the payload over side lanes, shared
+  /// memory touches the co-located device directly.
   cuda::Error memcpy_h2d(cuda::DevPtr dst,
                          std::span<const std::uint8_t> src) override;
   cuda::Error memcpy_d2h(std::span<std::uint8_t> dst,
                          cuda::DevPtr src) override;
-  cuda::Error memcpy_d2d(cuda::DevPtr dst, cuda::DevPtr src,
-                         std::uint64_t size) override;
-  cuda::Error memcpy_h2d_async(cuda::DevPtr dst,
-                               std::span<const std::uint8_t> src,
-                               cuda::StreamId stream) override;
-  cuda::Error memcpy_d2h_async(std::span<std::uint8_t> dst, cuda::DevPtr src,
-                               cuda::StreamId stream) override;
-
-  cuda::Error stream_create(cuda::StreamId& stream) override;
-  cuda::Error stream_wait_event(cuda::StreamId stream,
-                                cuda::EventId event) override;
-  cuda::Error stream_destroy(cuda::StreamId stream) override;
-  cuda::Error stream_synchronize(cuda::StreamId stream) override;
-  cuda::Error device_synchronize() override;
-  cuda::Error event_create(cuda::EventId& event) override;
-  cuda::Error event_destroy(cuda::EventId event) override;
-  cuda::Error event_record(cuda::EventId event,
-                           cuda::StreamId stream) override;
-  cuda::Error event_synchronize(cuda::EventId event) override;
-  cuda::Error event_elapsed_ms(float& ms, cuda::EventId start,
-                               cuda::EventId stop) override;
-
-  cuda::Error module_load(cuda::ModuleId& module,
-                          std::span<const std::uint8_t> image) override;
-  cuda::Error module_unload(cuda::ModuleId module) override;
-  cuda::Error module_get_function(cuda::FuncId& func, cuda::ModuleId module,
-                                  const std::string& name) override;
-  cuda::Error module_get_global(cuda::DevPtr& ptr, cuda::ModuleId module,
-                                const std::string& name) override;
-  cuda::Error launch_kernel(cuda::FuncId func, cuda::Dim3 grid,
-                            cuda::Dim3 block, std::uint32_t shared_bytes,
-                            cuda::StreamId stream,
-                            std::span<const std::uint8_t> params) override;
-
-  cuda::Error blas_sgemm(int m, int n, int k, float alpha, cuda::DevPtr a,
-                         int lda, cuda::DevPtr b, int ldb, float beta,
-                         cuda::DevPtr c, int ldc) override;
-  cuda::Error blas_sgemv(int m, int n, float alpha, cuda::DevPtr a, int lda,
-                         cuda::DevPtr x, float beta, cuda::DevPtr y) override;
-  cuda::Error blas_saxpy(int n, float alpha, cuda::DevPtr x,
-                         cuda::DevPtr y) override;
-  cuda::Error blas_snrm2(int n, cuda::DevPtr x, cuda::DevPtr result) override;
-  cuda::Error solver_sgetrf(int n, cuda::DevPtr a, int lda, cuda::DevPtr ipiv,
-                            cuda::DevPtr info) override;
-  cuda::Error solver_sgetrs(int n, int nrhs, cuda::DevPtr a, int lda,
-                            cuda::DevPtr ipiv, cuda::DevPtr b, int ldb,
-                            cuda::DevPtr info) override;
-  cuda::Error solver_spotrf(int n, cuda::DevPtr a, int lda,
-                            cuda::DevPtr info) override;
-  cuda::Error solver_spotrs(int n, int nrhs, cuda::DevPtr a, int lda,
-                            cuda::DevPtr b, int ldb, cuda::DevPtr info) override;
 
   /// Cricket extensions beyond the CUDA surface.
   cuda::Error checkpoint(const std::string& path);
@@ -196,19 +123,58 @@ class RemoteCudaApi final : public cuda::CudaApi {
   }
 
  private:
+  friend class CudaCallTable<RemoteCudaApi>;
+
   /// Forwards one CUDA API call: bumps counters, opens the kClientCall
   /// span (`name` is the stable "cuda.<entry point>" label), charges the
   /// per-call flavor cost, and maps RPC failures to Error::kRpcFailure.
   template <typename Fn>
   cuda::Error forward(const char* name, Fn&& fn);
+  /// Every call is a round trip here, so a synchronizing one is no different.
+  template <typename Fn>
+  cuda::Error synchronize(const char* name, Fn&& fn) {
+    return forward(name, std::forward<Fn>(fn));
+  }
+  /// Bumps the process-wide forwarded-call counter.
+  static void count_call();
 
   sim::SimClock* clock_;
   ClientConfig config_;
   TransferLanes lanes_;
   rpc::RpcClient rpc_;
-  std::unique_ptr<proto::CRICKETVERSClient> stub_;
+  proto::CRICKETVERSClient<> stub_{rpc_};
   RemoteStats stats_;
   cuda::Error sticky_error_ = cuda::Error::kSuccess;
 };
+
+template <typename Fn>
+cuda::Error RemoteCudaApi::forward(const char* name, Fn&& fn) {
+  ++stats_.api_calls;
+  // Degraded mode: the retry layer already exhausted its budget (or the
+  // transport died with no reconnect path), so fail fast instead of paying
+  // a full deadline per call against a link we know is gone.
+  if (sticky_error_ != cuda::Error::kSuccess) return sticky_error_;
+  count_call();
+  // The whole remote call, named after the CUDA entry point; the RPC layers
+  // underneath contribute the nested serialize/send/wait spans.
+  obs::Span span(obs::Layer::kClientCall, name);
+  clock_->advance(config_.flavor.per_call_ns);
+  try {
+    return fn();
+  } catch (const rpc::RpcError& e) {
+    // Only an exhausted retry budget goes sticky. Quota rejections leave the
+    // connection healthy (the tenant backs off and retries), and a surfaced
+    // migration redirect never executed: the next call reconnects through
+    // the flipped redirect.
+    if (e.kind() == rpc::RpcError::Kind::kDeadlineExceeded)
+      sticky_error_ = cuda::Error::kRpcFailure;
+    return cuda_error(e);
+  } catch (const rpc::TransportError&) {
+    sticky_error_ = cuda::Error::kRpcFailure;
+    return cuda::Error::kRpcFailure;
+  } catch (const xdr::XdrError&) {
+    return cuda::Error::kRpcFailure;
+  }
+}
 
 }  // namespace cricket::core

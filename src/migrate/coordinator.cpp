@@ -28,7 +28,7 @@ enum class TicketState { kCommitted, kDiscarded, kUnknown };
 /// non-kMigCommitted reply means the tenant did NOT move) and answers
 /// kMigCommitted for a committed one. Only an unreachable target — after
 /// every attempt — leaves the question open.
-TicketState resolve_ticket(proto::MIGRATEVERSClient& stub,
+TicketState resolve_ticket(proto::MIGRATEVERSClient<>& stub,
                            std::uint64_t ticket, std::uint32_t attempts,
                            std::chrono::nanoseconds backoff) {
   for (std::uint32_t i = 0; i < attempts; ++i) {
@@ -114,7 +114,7 @@ MigrationReport MigrationCoordinator::migrate(const std::string& tenant_name) {
   // dropped everything, so the migration below restarts cleanly (the tenant
   // is still frozen from that attempt; begin_drain is idempotent).
   if (const auto it = unresolved_.find(tenant_name); it != unresolved_.end()) {
-    proto::MIGRATEVERSClient stub(*target_);
+    proto::MIGRATEVERSClient<> stub(*target_);
     const TicketState state =
         resolve_ticket(stub, it->second, options_.resolve_attempts,
                        options_.resolve_backoff);
@@ -158,7 +158,7 @@ MigrationReport MigrationCoordinator::migrate(const std::string& tenant_name) {
   std::uint64_t ticket = 0;
   {
     obs::Span span(obs::Layer::kApp, "migrate.transfer");
-    proto::MIGRATEVERSClient stub(*target_);
+    proto::MIGRATEVERSClient<> stub(*target_);
     const std::size_t chunk_bytes = std::clamp<std::size_t>(
         options_.chunk_bytes, 1,
         static_cast<std::size_t>(proto::MIG_MAX_CHUNK));

@@ -41,22 +41,20 @@ void ByteQueue::push(std::span<const std::uint8_t> data) {
 }
 
 std::size_t ByteQueue::pop(std::span<std::uint8_t> out) {
-  sim::MutexLock lock(mu_);
-  while (!closed_ && fifo_.empty()) cv_.wait(mu_);
-  if (fifo_.empty()) return 0;  // closed and drained
-  const std::size_t n = std::min(out.size(), fifo_.size());
-  std::copy_n(fifo_.begin(), n, out.begin());
-  fifo_.erase(fifo_.begin(), fifo_.begin() + static_cast<std::ptrdiff_t>(n));
-  cv_.notify_all();
-  return n;
+  return pop_for(out, std::chrono::nanoseconds::zero());
 }
 
 std::size_t ByteQueue::pop_for(std::span<std::uint8_t> out,
                                std::chrono::nanoseconds timeout) {
-  if (timeout <= std::chrono::nanoseconds::zero()) return pop(out);
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  const bool bounded = timeout > std::chrono::nanoseconds::zero();
+  const auto deadline = bounded ? std::chrono::steady_clock::now() + timeout
+                                : std::chrono::steady_clock::time_point{};
   sim::MutexLock lock(mu_);
   while (!closed_ && fifo_.empty()) {
+    if (!bounded) {
+      cv_.wait(mu_);
+      continue;
+    }
     if (std::chrono::steady_clock::now() >= deadline) {
       throw TransportTimeout("pipe recv timed out");
     }

@@ -62,10 +62,11 @@ class Transport {
 
   /// Bounds how long any single recv() may block; once the bound elapses
   /// with no data, recv() throws TransportTimeout. Zero clears the bound.
-  /// Returns true when the transport honours it; the base implementation
-  /// returns false (recv stays fully blocking) so decorators over transports
-  /// without timed waits — e.g. the virtio data path, whose backend threads
-  /// own the blocking pops — degrade to deadline-between-records only.
+  /// Returns true when the transport honours it. Pipes, TCP and the virtio
+  /// data path (whose RX used-ring wait takes the deadline) all do; the base
+  /// implementation returns false (recv stays fully blocking), so a
+  /// transport without timed waits degrades to deadline-between-records
+  /// only.
   virtual bool set_recv_timeout(std::chrono::nanoseconds /*timeout*/) {
     return false;
   }
@@ -84,8 +85,8 @@ class ByteQueue {
   void push(std::span<const std::uint8_t> data) CRICKET_EXCLUDES(mu_);
   /// Blocks while empty and open; returns bytes read (0 = closed and drained).
   std::size_t pop(std::span<std::uint8_t> out) CRICKET_EXCLUDES(mu_);
-  /// Like pop() but gives up after `timeout` with no data, throwing
-  /// TransportTimeout. timeout <= 0 means wait forever.
+  /// pop() with a deadline: gives up after `timeout` with no data, throwing
+  /// TransportTimeout. timeout <= 0 waits forever, which is pop().
   std::size_t pop_for(std::span<std::uint8_t> out,
                       std::chrono::nanoseconds timeout) CRICKET_EXCLUDES(mu_);
   void close() CRICKET_EXCLUDES(mu_);

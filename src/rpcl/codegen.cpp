@@ -228,11 +228,15 @@ void emit_program(std::ostringstream& out, const ProgramDef& prog,
 
     // ---- typed client stub (RPC-Lib's generated client) ----
     out << "/// Typed client stub for " << prog.name << " v" << ver.number
-        << ". One method per procedure in the .x file.\n";
+        << ". One method per procedure in the .x file.\n"
+        << "/// `Client` puts each call on the wire: any type with\n"
+        << "/// rpc::RpcClient's call<Res>(proc, args...) and, for void\n"
+        << "/// procedures, call_void(proc, args...). Methods instantiate on\n"
+        << "/// use, so a caller needs only what its procedures call.\n";
+    out << "template <typename Client = ::cricket::rpc::RpcClient>\n";
     out << "class " << ver.name << "Client {\n public:\n";
     out << "  explicit " << ver.name
-        << "Client(::cricket::rpc::RpcClient& client) : client_(&client) "
-           "{}\n\n";
+        << "Client(Client& client) : client_(&client) {}\n\n";
     for (const auto& proc : ver.procs) {
       const std::string res =
           is_void(proc.result) ? "void" : cpp_type(proc.result);
@@ -245,15 +249,13 @@ void emit_program(std::ostringstream& out, const ProgramDef& prog,
       if (is_void(proc.result)) {
         out << "    client_->call_void(" << upper(proc.name) << "_PROC";
       } else {
-        out << "    return client_->call<" << res << ">("
+        out << "    return client_->template call<" << res << ">("
             << upper(proc.name) << "_PROC";
       }
       for (std::size_t i = 0; i < proc.args.size(); ++i) out << ", a" << i;
       out << ");\n  }\n\n";
     }
-    out << "  [[nodiscard]] ::cricket::rpc::RpcClient& rpc() noexcept { "
-           "return *client_; }\n\n";
-    out << " private:\n  ::cricket::rpc::RpcClient* client_;\n};\n\n";
+    out << " private:\n  Client* client_;\n};\n\n";
 
     // ---- abstract service skeleton (rpcgen's generated server) ----
     out << "/// Server skeleton for " << prog.name << " v" << ver.number

@@ -4,9 +4,10 @@
 // for the Cricket server in C, and what RPC-Lib's procedural macros do for
 // the Rust client. From one .x file it emits a single header containing the
 // XDR-serializable data types, the program/version/procedure constants, a
-// typed client stub class per version, and an abstract service skeleton the
-// server implements — so adding a procedure to the .x file makes it callable
-// with no hand-written marshalling on either side.
+// typed client stub per version (a class template over the caller that puts
+// calls on the wire, rpc::RpcClient by default), and an abstract service
+// skeleton the server implements — so adding a procedure to the .x file
+// makes it callable with no hand-written marshalling on either side.
 #pragma once
 
 #include <string>

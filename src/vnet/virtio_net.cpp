@@ -184,10 +184,21 @@ void VirtioNetTransport::rx_backend() {
 }
 
 bool VirtioNetTransport::fill_pending(std::size_t want, bool wait_all) {
+  const std::int64_t timeout_ns =
+      recv_timeout_ns_.load(std::memory_order_relaxed);
+  std::optional<std::chrono::steady_clock::time_point> deadline;
+  if (timeout_ns > 0)
+    deadline = std::chrono::steady_clock::now() +
+               std::chrono::nanoseconds(timeout_ns);
   while (rx_pending_.size() < want) {
-    auto used = rx_.take_used(wait_all || rx_pending_.empty());
-    // Shutdown, or (not waiting) no more completions right now.
-    if (!used) return !rx_pending_.empty();
+    const bool wait = wait_all || rx_pending_.empty();
+    auto used = rx_.take_used(wait, deadline);
+    if (!used) {
+      if (wait && deadline && std::chrono::steady_clock::now() >= *deadline)
+        throw rpc::TransportTimeout("virtio recv timed out");
+      // Shutdown, or (not waiting) no more completions right now.
+      return !rx_pending_.empty();
+    }
     const auto frame = rx_.read_in_buffers(used->first, used->second);
     post_rx_buffer();  // replenish the ring
     try {

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <deque>
 #include <memory>
 #include <string>
@@ -138,6 +139,12 @@ class VirtioNetTransport final : public rpc::Transport {
   /// the call came in, i.e. on real-time scheduling.
   void recv_exact(std::span<std::uint8_t> out) override;
   void shutdown() override;
+  /// Bounds the RX used-ring wait of each recv()/recv_exact(); bytes that
+  /// arrived before the deadline stay pending for the next read.
+  bool set_recv_timeout(std::chrono::nanoseconds timeout) override {
+    recv_timeout_ns_.store(timeout.count(), std::memory_order_relaxed);
+    return true;
+  }
 
   /// Returns a snapshot copy (counters advance concurrently on the sender
   /// and receiver threads).
@@ -165,7 +172,8 @@ class VirtioNetTransport final : public rpc::Transport {
   /// Moves completed RX frames into rx_pending_ until it holds `want`
   /// bytes, blocking for the first frame only or, with `wait_all`, for
   /// every frame. Returns false when the ring shut down with nothing
-  /// pending (end of stream).
+  /// pending (end of stream). Throws rpc::TransportTimeout when a blocking
+  /// wait outlives the recv timeout; what already arrived stays pending.
   bool fill_pending(std::size_t want, bool wait_all);
   /// Hands up to out.size() pending bytes to `out` and charges one receive
   /// of that many bytes.
@@ -192,6 +200,7 @@ class VirtioNetTransport final : public rpc::Transport {
   std::thread tx_thread_;
   std::thread rx_thread_;
   std::atomic<bool> stopping_{false};
+  std::atomic<std::int64_t> recv_timeout_ns_{0};
 
   static constexpr std::uint16_t kQueueSize = 256;
   static constexpr std::size_t kHeaderRoom = 128;

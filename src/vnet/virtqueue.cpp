@@ -157,10 +157,16 @@ void Virtqueue::push_used(std::uint16_t head, std::uint32_t written) {
 }
 
 std::optional<std::pair<std::uint16_t, std::uint32_t>> Virtqueue::take_used(
-    bool wait) {
+    bool wait, std::optional<std::chrono::steady_clock::time_point> deadline) {
   sim::MutexLock lock(mu_);
-  if (wait)
-    while (!shutdown_ && used_ring_.empty()) used_cv_.wait(mu_);
+  while (wait && !shutdown_ && used_ring_.empty()) {
+    if (!deadline) {
+      used_cv_.wait(mu_);
+    } else if (used_cv_.wait_until(mu_, *deadline) ==
+               std::cv_status::timeout) {
+      break;
+    }
+  }
   if (used_ring_.empty()) return std::nullopt;
   const auto entry = used_ring_.front();
   used_ring_.erase(used_ring_.begin());

@@ -9,6 +9,7 @@
 // VM-exit time per kick at a higher layer.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -94,8 +95,12 @@ class Virtqueue {
   void kick(std::uint16_t head) CRICKET_EXCLUDES(mu_);
 
   /// Completed chain from the used ring: (head, bytes written by device).
-  /// Blocks when `wait`; otherwise returns nullopt if none pending.
-  std::optional<std::pair<std::uint16_t, std::uint32_t>> take_used(bool wait)
+  /// With `wait`, blocks until a chain completes, the queue shuts down, or
+  /// `deadline` (if given) passes; returns nullopt in the last two cases
+  /// and, without `wait`, when none is pending.
+  std::optional<std::pair<std::uint16_t, std::uint32_t>> take_used(
+      bool wait,
+      std::optional<std::chrono::steady_clock::time_point> deadline = {})
       CRICKET_EXCLUDES(mu_);
 
   /// Reads back a device-written ("in") buffer of a completed chain and

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
@@ -603,6 +604,60 @@ TEST(StickyError, RemoteApiDegradesGracefullyAfterExhaustion) {
   EXPECT_EQ(api.get_device_count(count), cuda::Error::kRpcFailure);
   EXPECT_LT(std::chrono::steady_clock::now() - t0, 1s);
   EXPECT_EQ(api.stats().api_calls, calls_before + 1);
+}
+
+TEST(RecvDeadline, VirtualizedPresetsRecoverFromADroppedRecord) {
+  // The guest's first call record and the server's first reply are dropped;
+  // only a receive deadline on the virtio data path lets the client's
+  // attempt timeout fire and re-send. A watchdog shuts the server end down
+  // if the call hangs, so a transport that ignores the deadline fails here
+  // (the client sees the close) instead of blocking the suite.
+  for (const env::EnvKind kind : {env::EnvKind::kLinuxVm,
+                                  env::EnvKind::kUnikraft,
+                                  env::EnvKind::kRustyHermit}) {
+    const auto environment = env::with_faults(env::make_environment(kind),
+                                               "drop=1,max_faults=1,seed=7");
+    SCOPED_TRACE(environment.name);
+    ASSERT_TRUE(environment.profile.virtualized);
+    sim::SimClock clock;
+    auto conn = env::connect(environment, clock);
+
+    rpc::ServiceRegistry registry;
+    registry.register_typed<std::uint32_t, std::uint32_t>(
+        kProg, kVers, kProcEcho, [](std::uint32_t v) { return v; });
+    registry.enable_duplicate_cache();
+    std::thread server([&] { rpc::serve_transport(registry, *conn.server); });
+
+    std::mutex mu;
+    std::condition_variable cv;
+    bool done = false;
+    std::thread watchdog([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      if (!cv.wait_for(lock, 10s, [&] { return done; }))
+        conn.server->shutdown();
+    });
+
+    {
+      rpc::ClientOptions options;
+      options.retry.enabled = true;
+      options.retry.attempt_timeout = 50ms;
+      options.retry.deadline = 2s;
+      rpc::RpcClient client(std::move(conn.guest), kProg, kVers, options);
+      try {
+        EXPECT_EQ(client.call<std::uint32_t>(kProcEcho, 7u), 7u);
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "call failed: " << e.what();
+      }
+      EXPECT_GE(client.stats().retries, 1u);
+    }
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      done = true;
+    }
+    cv.notify_all();
+    watchdog.join();
+    server.join();
+  }
 }
 
 // ------------------------------ reconnects ----------------------------------

@@ -794,6 +794,16 @@ TEST(Codegen, GoldenTaintHeaderForCommittedCricketSpec) {
             std::string::npos);
   EXPECT_NE(header.find("kMaxPayloadBytes = 1073741824ull;"),
             std::string::npos);
+  // The stub is a class template over the caller that puts calls on the
+  // wire, so the synchronous RpcClient and the pipelined cudart client
+  // drive the same generated methods.
+  EXPECT_NE(
+      header.find("template <typename Client = ::cricket::rpc::RpcClient>\n"
+                  "class CRICKETVERSClient {"),
+      std::string::npos);
+  EXPECT_NE(header.find("return client_->template call<int_result>("
+                        "RPC_GET_DEVICE_COUNT_PROC);"),
+            std::string::npos);
   const auto stub_pos = header.find("class CRICKETVERSClient");
   ASSERT_NE(stub_pos, std::string::npos);
   const auto stub_end = header.find("\n};", stub_pos);
