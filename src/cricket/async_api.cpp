@@ -12,8 +12,8 @@ using cuda::Error;
 
 namespace {
 
-rpcflow::ChannelOptions channel_options(const AsyncClientConfig& config) {
-  rpcflow::ChannelOptions opts;
+rpc::ClientOptions channel_options(const AsyncClientConfig& config) {
+  rpc::ClientOptions opts;
   // pipeline.enabled=false degrades to a stop-and-wait window of one call:
   // the same wire behaviour as the synchronous client.
   opts.max_outstanding = config.pipeline.enabled ? config.pipeline.depth : 1;
@@ -33,11 +33,10 @@ AsyncRemoteCudaApi::AsyncRemoteCudaApi(std::unique_ptr<rpc::Transport> transport
                                        AsyncClientConfig config)
     : clock_(&clock),
       config_(std::move(config)),
-      channel_(std::make_unique<rpcflow::AsyncRpcChannel>(
-          std::move(transport), proto::CRICKET_PROG, proto::CRICKETVERS_VERS,
-          channel_options(config_))) {
+      channel_(std::move(transport), proto::CRICKET_PROG,
+               proto::CRICKETVERS_VERS, channel_options(config_)) {
   if (auto cred = tenant_credential(config_.tenant, config_.auth_stamp))
-    channel_->set_credential(std::move(*cred));
+    channel_.set_credential(std::move(*cred));
 }
 
 AsyncRemoteCudaApi::~AsyncRemoteCudaApi() {
@@ -88,11 +87,7 @@ void AsyncRemoteCudaApi::absorb(Error err) {
 
 Error AsyncRemoteCudaApi::drain() {
   ++stats_.drains;
-  try {
-    channel_->drain();
-  } catch (const rpc::TransportError&) {
-    absorb(Error::kRpcFailure);
-  }
+  channel_.drain();
   while (!pending_.empty()) settle_front();
   return sticky_;
 }
@@ -106,7 +101,7 @@ Error AsyncRemoteCudaApi::sync_point(Error err) {
 
 void AsyncRemoteCudaApi::disconnect() {
   sticky_ = Error::kRpcFailure;
-  channel_->transport().shutdown();
+  channel_.transport().shutdown();
 }
 
 }  // namespace cricket::core

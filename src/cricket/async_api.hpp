@@ -1,10 +1,10 @@
-// AsyncRemoteCudaApi: the pipelined Cricket client (rpcflow-backed).
+// AsyncRemoteCudaApi: the pipelined Cricket client.
 //
 // The synchronous RemoteCudaApi pays one wire round trip per forwarded CUDA
 // call, reproducing the paper's single-threaded RPC bottleneck (§4.2). This
 // client keeps the identical CudaApi surface but exploits that most CUDA
 // calls are fire-and-forget by contract — kernel launches, async copies,
-// event records — to pipeline them through an AsyncRpcChannel: the call is
+// event records — to post them through a windowed rpc::RpcClient: the call is
 // put on the wire (or into the small-call batcher) and control returns to
 // the application immediately; errors surface at the next synchronization
 // point as a sticky error, exactly as real CUDA reports asynchronous
@@ -23,7 +23,7 @@
 #include "cricket/call_table.hpp"
 #include "env/environment.hpp"
 #include "obs/trace.hpp"
-#include "rpcflow/channel.hpp"
+#include "rpc/client.hpp"
 #include "sim/sim_clock.hpp"
 
 namespace cricket::core {
@@ -85,9 +85,7 @@ class AsyncRemoteCudaApi final : public CudaCallTable<AsyncRemoteCudaApi> {
   [[nodiscard]] const AsyncClientStats& stats() const noexcept {
     return stats_;
   }
-  [[nodiscard]] rpcflow::AsyncRpcChannel& channel() noexcept {
-    return *channel_;
-  }
+  [[nodiscard]] rpc::RpcClient& channel() noexcept { return channel_; }
 
  private:
   friend class CudaCallTable<AsyncRemoteCudaApi>;
@@ -135,9 +133,9 @@ class AsyncRemoteCudaApi final : public CudaCallTable<AsyncRemoteCudaApi> {
 
   sim::SimClock* clock_;
   AsyncClientConfig config_;
-  std::unique_ptr<rpcflow::AsyncRpcChannel> channel_;
+  rpc::RpcClient channel_;
   proto::CRICKETVERSClient<AsyncRemoteCudaApi> stub_{*this};
-  std::deque<rpcflow::TypedFuture<std::int32_t>> pending_;
+  std::deque<rpc::TypedFuture<std::int32_t>> pending_;
   /// Set by synchronize() for the status-only call it forwards.
   bool wait_for_status_ = false;
   cuda::Error sticky_ = cuda::Error::kSuccess;
@@ -162,16 +160,14 @@ Res AsyncRemoteCudaApi::call(std::uint32_t proc, const Args&... args) {
   if constexpr (std::is_same_v<Res, std::int32_t>) {
     if (!std::exchange(wait_for_status_, false)) {
       begin_rpc(/*posted=*/true);
-      pending_.push_back(channel_->call_async<Res>(proc, args...));
+      pending_.push_back(channel_.call_async<Res>(proc, args...));
       return static_cast<Res>(cuda::Error::kSuccess);  // "queued"
     }
   }
   begin_rpc(/*posted=*/false);
-  auto fut = channel_->call_async<Res>(proc, args...);
-  channel_->flush();
   // The server runs this session's calls in order, so by the time this
   // reply is in hand every earlier pipelined call has executed.
-  return fut.get();
+  return channel_.call<Res>(proc, args...);
 }
 
 template <typename Fn>

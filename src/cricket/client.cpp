@@ -3,6 +3,7 @@
 #include <atomic>
 #include <thread>
 
+#include "cricket_bounds.hpp"
 #include "obs/metrics.hpp"
 
 namespace cricket::core {
@@ -27,8 +28,11 @@ RemoteCudaApi::RemoteCudaApi(std::unique_ptr<rpc::Transport> transport,
     : clock_(&clock),
       config_(std::move(config)),
       lanes_(std::move(lanes)),
+      // A window of one call and no batcher: the paper's serial RPC path.
       rpc_(std::move(transport), proto::CRICKET_PROG, proto::CRICKETVERS_VERS,
-           rpc::ClientOptions{.retry = config_.retry,
+           rpc::ClientOptions{.max_outstanding = 1,
+                              .bounds = proto::bounds::kProcBounds,
+                              .retry = config_.retry,
                               .reconnect = config_.reconnect}) {
   if (auto cred = tenant_credential(config_.tenant, config_.auth_stamp))
     rpc_.set_credential(std::move(*cred));

@@ -83,8 +83,8 @@ struct RemoteStats {
   std::uint64_t module_bytes_saved = 0;
 };
 
-/// The synchronous client: the shared call table bound to rpc::RpcClient,
-/// one wire round trip per forwarded CUDA call.
+/// The synchronous client: the shared call table bound to rpc::RpcClient
+/// with a window of one, one wire round trip per forwarded CUDA call.
 class RemoteCudaApi final : public CudaCallTable<RemoteCudaApi> {
  public:
   /// `transport` carries the RPC connection (typically from env::connect);

@@ -49,10 +49,10 @@ struct ClientFlavor {
   bool fast_rng = true;
 };
 
-/// RPC pipelining knob (the rpcflow subsystem). Off in every Table-1 preset:
-/// the paper's stack is strictly one synchronous RPC at a time (§4.2), and
-/// the reproduction benches must keep matching it. Opt in per experiment
-/// with `with_pipelining`.
+/// RPC pipelining knob (rpcflow: the rpc client's window and batcher). Off
+/// in every Table-1 preset: the paper's stack is strictly one synchronous
+/// RPC at a time (§4.2), and the reproduction benches must keep matching
+/// it. Opt in per experiment with `with_pipelining`.
 struct PipelineConfig {
   bool enabled = false;
   /// Max calls in flight on the connection before the client blocks.

@@ -64,6 +64,10 @@ std::size_t FaultyTransport::recv(std::span<std::uint8_t> out) {
   return inner_->recv(out);
 }
 
+void FaultyTransport::recv_exact(std::span<std::uint8_t> out) {
+  inner_->recv_exact(out);
+}
+
 bool FaultyTransport::set_recv_timeout(std::chrono::nanoseconds timeout) {
   return inner_->set_recv_timeout(timeout);
 }

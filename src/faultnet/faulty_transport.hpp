@@ -41,6 +41,10 @@ class FaultyTransport final : public rpc::Transport {
   void send(std::span<const std::uint8_t> data) override
       CRICKET_EXCLUDES(mu_);
   std::size_t recv(std::span<std::uint8_t> out) override;
+  /// Forwarded, so the inner transport's exact-read contract holds through
+  /// the decorator: one virtual-time charge per exact read, and bytes of a
+  /// read cut short by the receive deadline stay pending.
+  void recv_exact(std::span<std::uint8_t> out) override;
   bool set_recv_timeout(std::chrono::nanoseconds timeout) override;
   void shutdown() override CRICKET_EXCLUDES(mu_);
 

@@ -11,8 +11,8 @@
 // ordering the test suite ever exhibited, in aggregate.
 //
 // Lock classes: a mutex's identity is its construction site
-// (sim::Mutex::birth), so all instances of `CallBatcher::mu_` form one
-// class no matter how many batchers a test creates. Class identity is a
+// (sim::Mutex::birth), so all instances of `ByteQueue::mu_` form one
+// class no matter how many pipes a test creates. Class identity is a
 // plain "file:line" string, which makes per-process edge dumps mergeable
 // across the whole suite (tools/lock_graph.py). Same-instance recursive
 // lock attempts — a guaranteed self-deadlock — are counted and reported

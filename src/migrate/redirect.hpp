@@ -1,7 +1,7 @@
 // The client-visible half of a migration: a redirecting connection factory.
 //
 // Clients are constructed with a reconnect factory (ClientConfig::reconnect
-// / ChannelOptions::reconnect). Pointing that factory at a
+// / AsyncClientConfig::reconnect). Pointing that factory at a
 // RedirectingConnector makes it a level of indirection the control plane
 // can flip: the MigrationCoordinator atomically swaps the dial target at
 // commit time, and the very next reconnect — typically triggered by the
@@ -29,7 +29,7 @@ class RedirectingConnector {
       : current_(std::move(initial)) {}
 
   /// Atomically flips where subsequent dials land. Safe against concurrent
-  /// dial() calls from client reader threads mid-reconnect.
+  /// dial() calls from clients mid-reconnect.
   void set_target(Factory target) CRICKET_EXCLUDES(mu_) {
     sim::MutexLock lock(mu_);
     current_ = std::move(target);
@@ -45,7 +45,7 @@ class RedirectingConnector {
     return factory ? factory() : nullptr;
   }
 
-  /// Hand this to ClientConfig::reconnect / ChannelOptions::reconnect. The
+  /// Hand this to ClientConfig::reconnect / AsyncClientConfig::reconnect. The
   /// connector must outlive every client holding the returned factory.
   [[nodiscard]] Factory factory() {
     return [this] { return dial(); };

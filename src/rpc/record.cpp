@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+
 namespace cricket::rpc {
 namespace {
 
@@ -50,7 +53,51 @@ void append_record_marked(std::vector<std::uint8_t>& out,
   } while (off < record.size());
 }
 
-bool RecordReader::read_record(std::vector<std::uint8_t>& out) {
+void CallBatcher::append(std::span<const std::uint8_t> record) {
+  append_record_marked(buf_, record, max_fragment_);
+  ++stats_.records;
+  ++buffered_;
+  if (!options_.enabled)
+    send_buffer(/*full=*/false);
+  else if (buffered_ >= options_.max_calls || buf_.size() >= options_.max_bytes)
+    send_buffer(/*full=*/true);
+}
+
+void CallBatcher::flush() {
+  if (!buf_.empty()) send_buffer(/*full=*/false);
+}
+
+void CallBatcher::rebind(Transport& transport) {
+  transport_ = &transport;
+  buf_.clear();
+  buffered_ = 0;
+}
+
+void CallBatcher::send_buffer(bool full) {
+  // Flush-cause counters live in the global registry (static refs: the
+  // registry hands out stable pointers and is never destroyed).
+  static obs::Counter& flush_full = obs::Registry::global().counter(
+      "cricket_batch_flushes_total", {{"cause", "full"}},
+      "Batcher flushes by trigger");
+  static obs::Counter& flush_explicit = obs::Registry::global().counter(
+      "cricket_batch_flushes_total", {{"cause", "explicit"}});
+  ++(full ? stats_.flush_full : stats_.flush_explicit);
+  (full ? flush_full : flush_explicit).inc();
+  ++stats_.batches;
+  stats_.bytes += buf_.size();
+  buffered_ = 0;
+  obs::Span span(obs::Layer::kChanFlush, nullptr, buf_.size());
+  try {
+    transport_->send(buf_);
+  } catch (const TransportError&) {
+    buf_.clear();
+    throw;
+  }
+  buf_.clear();
+}
+
+bool RecordReader::read_record(std::vector<std::uint8_t>& out,
+                               bool deadline_to_start) {
   out.clear();
   bool first = true;
   for (;;) {
@@ -59,6 +106,8 @@ bool RecordReader::read_record(std::vector<std::uint8_t>& out) {
       // Distinguish clean EOF (no record) from truncation.
       const std::size_t n = transport_->recv(std::span(hdr, 4));
       if (n == 0) return false;
+      if (deadline_to_start)
+        (void)transport_->set_recv_timeout(std::chrono::nanoseconds::zero());
       if (n < 4) transport_->recv_exact(std::span(hdr + n, 4 - n));
     } else {
       transport_->recv_exact(hdr);
@@ -88,7 +137,13 @@ bool BufferedRecordReader::fill(std::size_t need) {
   while (buf_.size() - pos_ < need) {
     const std::size_t old = buf_.size();
     buf_.resize(old + chunk_);
-    const std::size_t n = transport_->recv(std::span(buf_.data() + old, chunk_));
+    std::size_t n = 0;
+    try {
+      n = transport_->recv(std::span(buf_.data() + old, chunk_));
+    } catch (const TransportError&) {
+      buf_.resize(old);  // a timed-out read leaves what arrived intact
+      throw;
+    }
     buf_.resize(old + n);
     if (n == 0) return false;
   }
@@ -96,29 +151,29 @@ bool BufferedRecordReader::fill(std::size_t need) {
 }
 
 bool BufferedRecordReader::read_record(std::vector<std::uint8_t>& out) {
-  out.clear();
-  bool first = true;
+  // A fragment is consumed only once it is wholly buffered, and a record a
+  // receive timeout cut short resumes on the next call, so a timeout loses
+  // nothing.
+  if (!mid_record_) out.clear();
   for (;;) {
     if (!fill(4)) {
-      if (first && buf_.size() == pos_) return false;  // clean EOF
+      if (!mid_record_ && buf_.size() == pos_) return false;  // clean EOF
       throw TransportError("EOF inside RPC record");
     }
     const std::uint8_t* hdr = buf_.data() + pos_;
     const std::uint32_t h = (std::uint32_t{hdr[0]} << 24) |
                             (std::uint32_t{hdr[1]} << 16) |
                             (std::uint32_t{hdr[2]} << 8) | std::uint32_t{hdr[3]};
-    pos_ += 4;
-    first = false;
     const bool last = (h & kLastFragmentBit) != 0;
     const std::uint32_t len = h & ~kLastFragmentBit;
     if (out.size() + len > max_record_)
       throw TransportError("RPC record exceeds maximum size");
-    if (len > 0) {
-      if (!fill(len)) throw TransportError("EOF inside RPC record");
-      out.insert(out.end(), buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                 buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + len));
-      pos_ += len;
-    }
+    if (!fill(4 + std::size_t{len}))
+      throw TransportError("EOF inside RPC record");
+    const auto body = buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + 4);
+    out.insert(out.end(), body, body + len);
+    pos_ += 4 + std::size_t{len};
+    mid_record_ = !last;
     if (last) return true;
   }
 }

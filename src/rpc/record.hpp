@@ -47,6 +47,66 @@ void append_record_marked(std::vector<std::uint8_t>& out,
                           std::uint32_t max_fragment =
                               RecordWriter::kDefaultMaxFragment);
 
+/// Small-call batcher (Nagle-style, with an explicit flush escape): coalesces
+/// back-to-back record-marked calls into one transport send, amortizing the
+/// per-send cost (syscall, virtqueue kick, wire latency) the Fig. 6a storms
+/// of sub-100-byte calls otherwise pay per call. It flushes when the buffer
+/// fills (bytes or record count) or when its owner flushes — the RPC client
+/// does so before every blocking wait, so nothing waits on a timer. Used by
+/// one thread at a time, like the client that owns it.
+class CallBatcher {
+ public:
+  struct Options {
+    /// Disabled: every append is sent at once as one send (header and
+    /// payload together; no cross-call waiting).
+    bool enabled = false;
+    /// Flush as soon as the buffered wire bytes reach this (keep it at or
+    /// under one MSS so a batch still fits one network segment).
+    std::size_t max_bytes = 8 * 1024;
+    /// Flush as soon as this many records are buffered.
+    std::uint32_t max_calls = 16;
+  };
+
+  struct Stats {
+    std::uint64_t records = 0;
+    std::uint64_t batches = 0;  // transport sends
+    std::uint64_t flush_full = 0;
+    std::uint64_t flush_explicit = 0;
+    std::uint64_t bytes = 0;
+  };
+
+  CallBatcher(Transport& transport, Options options,
+              std::uint32_t max_fragment = RecordWriter::kDefaultMaxFragment)
+      : transport_(&transport), options_(options), max_fragment_(max_fragment) {}
+
+  /// Queues one RPC record; sends at once when batching is disabled or a
+  /// threshold fills. Throws TransportError if the send fails (the buffer
+  /// is discarded either way).
+  void append(std::span<const std::uint8_t> record);
+
+  /// Sends whatever is buffered now. Safe to call with an empty buffer.
+  void flush();
+
+  /// Points the batcher at a fresh transport after a reconnect, discarding
+  /// buffered-but-unsent records (the client re-sends every pending call
+  /// anyway, so keeping them would send duplicates).
+  void rebind(Transport& transport);
+
+  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+  /// Records buffered and not yet sent.
+  [[nodiscard]] std::uint32_t buffered() const noexcept { return buffered_; }
+
+ private:
+  void send_buffer(bool full);
+
+  Transport* transport_;
+  Options options_;
+  std::uint32_t max_fragment_;
+  std::vector<std::uint8_t> buf_;
+  std::uint32_t buffered_ = 0;
+  Stats stats_;
+};
+
 /// Reads one complete record (reassembling fragments) per call.
 class RecordReader {
  public:
@@ -55,8 +115,12 @@ class RecordReader {
       : transport_(&transport), max_record_(max_record) {}
 
   /// Returns false on clean end-of-stream before any fragment; throws
-  /// TransportError on mid-record EOF or an over-size record.
-  [[nodiscard]] bool read_record(std::vector<std::uint8_t>& out);
+  /// TransportError on mid-record EOF or an over-size record. With
+  /// `deadline_to_start`, a receive deadline set on the transport bounds
+  /// only the wait for the record to begin: it is cleared once the first
+  /// bytes arrive, so a timeout never strands half a record.
+  [[nodiscard]] bool read_record(std::vector<std::uint8_t>& out,
+                                 bool deadline_to_start = false);
 
   /// Largest legitimate record: the CRICKET_MAX_PAYLOAD opaque bound
   /// (1 GiB, mirrored by rpclgen's kProcBudget) plus a 64 KiB envelope for
@@ -76,7 +140,9 @@ class RecordReader {
 /// small records arrive back-to-back (pipelined calls, coalesced replies)
 /// one recv covers them all, so per-recv costs amortize. Semantics match
 /// RecordReader: one complete record per read_record call, false on clean
-/// EOF at a record boundary, TransportError on mid-record EOF.
+/// EOF at a record boundary, TransportError on mid-record EOF. A receive
+/// timeout (TransportTimeout) loses nothing: the next call, into the same
+/// `out`, resumes the record.
 class BufferedRecordReader {
  public:
   explicit BufferedRecordReader(Transport& transport,
@@ -98,6 +164,7 @@ class BufferedRecordReader {
   std::size_t max_record_;
   std::vector<std::uint8_t> buf_;
   std::size_t pos_ = 0;  // consumed prefix of buf_
+  bool mid_record_ = false;  // `out` holds the fragments read so far
 };
 
 }  // namespace cricket::rpc

@@ -464,8 +464,8 @@ class Connection {
 void serve_transport(const ServiceRegistry& registry, Transport& transport,
                      const ServeOptions& options) {
   Connection(registry, transport, options).run();
-  // Half-close our write side so a pipelined client's reader thread, which
-  // blocks on recv between replies, observes end-of-stream.
+  // Half-close our write side so a client waiting on recv between replies
+  // observes end-of-stream.
   try {
     transport.shutdown();
   } catch (const TransportError&) {

@@ -25,8 +25,8 @@
 //   * Explorer replaces blocking with a cooperative scheduler and
 //     systematically enumerates interleavings of small model tests.
 // Each Mutex/CondVar remembers its construction site, so diagnostics speak
-// in terms of lock *classes* ("the CallBatcher mu_ declared at
-// batcher.hpp:87") that are stable across processes — the identity the
+// in terms of lock *classes* ("the ByteQueue mu_ declared at
+// transport.hpp:95") that are stable across processes — the identity the
 // suite-wide lock-order graph merges on.
 #pragma once
 

@@ -31,7 +31,6 @@
 #include "rpc/rpc_msg.hpp"
 #include "rpc/server.hpp"
 #include "rpc/transport.hpp"
-#include "rpcflow/channel.hpp"
 #include "vnet/minitcp.hpp"
 #include "workloads/bandwidth_test.hpp"
 #include "workloads/histogram.hpp"
@@ -220,6 +219,35 @@ TEST(FaultyTransport, ReassemblesSplitHeaderAndPayloadSends) {
   EXPECT_EQ(raw->sends_[1], msg);
 }
 
+TEST(FaultyTransport, ForwardsExactReadsToTheInnerTransport) {
+  // The decorator must hand an exact read to the inner transport whole: the
+  // base Transport::recv_exact loop over recv() would bypass the inner
+  // transport's one-charge exact read and its deadline contract.
+  class ExactReadCounter final : public rpc::Transport {
+   public:
+    void send(std::span<const std::uint8_t>) override {}
+    std::size_t recv(std::span<std::uint8_t> out) override {
+      ++recvs;
+      out[0] = 0;
+      return 1;
+    }
+    void recv_exact(std::span<std::uint8_t> out) override {
+      ++exact_reads;
+      std::fill(out.begin(), out.end(), std::uint8_t{0});
+    }
+    void shutdown() override {}
+    int recvs = 0;
+    int exact_reads = 0;
+  };
+  auto inner = std::make_unique<ExactReadCounter>();
+  auto* raw = inner.get();
+  FaultyTransport faulty(std::move(inner), FaultSpec{});
+  std::vector<std::uint8_t> out(64);
+  faulty.recv_exact(out);
+  EXPECT_EQ(raw->exact_reads, 1);
+  EXPECT_EQ(raw->recvs, 0);
+}
+
 // ----------------------- duplicate-request cache ----------------------------
 
 /// An echo call and the encoded arguments its CallMsg views.
@@ -406,16 +434,16 @@ void run_pipelined_matrix(const FaultSpec& spec, bool batched) {
     FaultyRpcHarness h(spec, {.workers = workers});
     std::uint64_t retries = 0;
     {
-      rpcflow::ChannelOptions options;
+      rpc::ClientOptions options;
+      options.max_outstanding = 32;
       options.retry = test_retry_policy();
       if (batched) {
         options.batch.enabled = true;
         options.batch.max_calls = 4;
-        options.batch.deadline = 200us;
       }
-      rpcflow::AsyncRpcChannel channel(h.take_client_transport(), kProg,
-                                       kVers, options);
-      std::vector<rpcflow::TypedFuture<std::uint32_t>> futures;
+      rpc::RpcClient channel(h.take_client_transport(), kProg, kVers,
+                             options);
+      std::vector<rpc::TypedFuture<std::uint32_t>> futures;
       for (std::uint32_t i = 0; i < kMatrixCalls; ++i) {
         futures.push_back(channel.call_async<std::uint32_t>(kProcEcho, i));
       }
@@ -563,13 +591,13 @@ TEST(RetryPolicy, NonIdempotentProcedureFailsFast) {
 
 TEST(RetryPolicy, ChannelFailsFuturesOnExhaustion) {
   FaultyRpcHarness h(FaultSpec::parse("drop=1.0,seed=1"));
-  rpcflow::ChannelOptions options;
+  rpc::ClientOptions options;
+  options.max_outstanding = 32;
   options.retry.enabled = true;
   options.retry.max_attempts = 2;
   options.retry.attempt_timeout = 40ms;
   options.retry.deadline = 5s;
-  rpcflow::AsyncRpcChannel channel(h.take_client_transport(), kProg, kVers,
-                                   options);
+  rpc::RpcClient channel(h.take_client_transport(), kProg, kVers, options);
   auto fut = channel.call_async<std::uint32_t>(kProcEcho, 1u);
   channel.flush();
   try {
@@ -579,6 +607,74 @@ TEST(RetryPolicy, ChannelFailsFuturesOnExhaustion) {
     EXPECT_EQ(e.kind(), rpc::RpcError::Kind::kDeadlineExceeded);
   }
   EXPECT_EQ(channel.stats().deadline_exceeded, 1u);
+}
+
+TEST(RetryPolicy, ReplyWaitingInTheTransportBeatsItsExpiredTimers) {
+  // The caller reads its own replies, so a posted call's reply can sit in
+  // the transport while the caller is busy past both the attempt timeout
+  // and the hard deadline. The timers are acted on only once a receive has
+  // timed out: drain() must consume the waiting reply first, completing
+  // the call without a re-send and without kDeadlineExceeded.
+  FaultyRpcHarness h(FaultSpec{});  // clean network
+  rpc::ClientOptions options;
+  options.max_outstanding = 32;
+  options.retry.enabled = true;
+  options.retry.attempt_timeout = 20ms;
+  options.retry.deadline = 50ms;
+  rpc::RpcClient channel(h.take_client_transport(), kProg, kVers, options);
+  auto fut = channel.call_async<std::uint32_t>(kProcEcho, 5u);
+  channel.flush();
+  // Busy until the server has answered and both timers have expired.
+  while (h.executions() == 0) std::this_thread::sleep_for(1ms);
+  std::this_thread::sleep_for(200ms);
+  channel.drain();
+  ASSERT_TRUE(fut.ready());
+  EXPECT_EQ(fut.get(), 5u);
+  EXPECT_EQ(channel.stats().retries, 0u);
+  EXPECT_EQ(channel.stats().deadline_exceeded, 0u);
+  EXPECT_EQ(h.executions(), 1u);
+}
+
+TEST(RetryPolicy, BatchedClientResendsALostRecordOnTheNextAttempt) {
+  // A re-send must leave at once, not wait in a part-filled batch: with a
+  // batch larger than the attempt budget, re-sends left buffered would
+  // spend every attempt off the wire and the call would fail.
+  rpc::ServiceRegistry registry;
+  std::atomic<int> executions{0};
+  registry.register_typed<std::uint32_t, std::uint32_t>(
+      kProg, kVers, kProcEcho, [&executions](std::uint32_t v) {
+        executions.fetch_add(1);
+        return v;
+      });
+  registry.enable_duplicate_cache();
+  auto [client_end, server_end] = rpc::make_pipe_pair();
+  std::thread server([&registry, t = std::move(server_end)]() mutable {
+    rpc::serve_transport(registry, *t);
+  });
+  {
+    rpc::ClientOptions options;
+    options.max_outstanding = 32;
+    options.batch.enabled = true;
+    options.batch.max_calls = 16;
+    options.retry.enabled = true;
+    options.retry.max_attempts = 4;
+    options.retry.attempt_timeout = 500ms;  // no spurious re-send under TSan
+    options.retry.deadline = 20s;
+    // Only the client's first record is lost.
+    rpc::RpcClient channel(
+        std::make_unique<FaultyTransport>(
+            std::move(client_end),
+            FaultSpec::parse("partition_after=0,partition_len=1")),
+        kProg, kVers, options);
+    auto fut = channel.call_async<std::uint32_t>(kProcEcho, 7u);
+    std::uint32_t got = 0;
+    EXPECT_NO_THROW(got = fut.get());
+    EXPECT_EQ(got, 7u);
+    EXPECT_EQ(channel.stats().retries, 1u);
+    EXPECT_EQ(channel.stats().deadline_exceeded, 0u);
+  }
+  server.join();
+  EXPECT_EQ(executions.load(), 1);
 }
 
 TEST(StickyError, RemoteApiDegradesGracefullyAfterExhaustion) {
@@ -695,7 +791,7 @@ TEST(Reconnect, ChannelResubmitsInFlightCallsOnNewConnection) {
   registry.enable_duplicate_cache();
 
   // Each "connection" is a pipe pair with its own serve thread on the shared
-  // registry; the factory is called from the channel's reader thread.
+  // registry; the factory is called from the waiting caller's thread.
   std::mutex threads_mu;
   std::vector<std::thread> serve_threads;
   auto connect_fn = [&]() -> std::unique_ptr<rpc::Transport> {
@@ -722,12 +818,12 @@ TEST(Reconnect, ChannelResubmitsInFlightCallsOnNewConnection) {
         });
   }
 
-  rpcflow::ChannelOptions options;
+  rpc::ClientOptions options;
+  options.max_outstanding = 32;
   options.retry = test_retry_policy();
   options.reconnect = connect_fn;
   {
-    rpcflow::AsyncRpcChannel channel(std::move(first.first), kProg, kVers,
-                                     options);
+    rpc::RpcClient channel(std::move(first.first), kProg, kVers, options);
     // Issue a call, let it reach the server, then kill the reply direction
     // while the handler is still running: the reader sees end-of-stream,
     // reconnects, and resubmits the in-flight xid on the new connection.
@@ -772,13 +868,12 @@ TEST(RecordCap, DefaultCapCoversMaxPayloadPlusEnvelope) {
 
 TEST(ZeroDeadlineBatcher, BlockedFutureFlushesInsteadOfHanging) {
   FaultyRpcHarness h(FaultSpec{});  // clean network
-  rpcflow::ChannelOptions options;
+  rpc::ClientOptions options;
+  options.max_outstanding = 32;
   options.batch.enabled = true;
   options.batch.max_calls = 1000;   // never fills
   options.batch.max_bytes = 1 << 20;
-  options.batch.deadline = 0us;     // no background flusher
-  rpcflow::AsyncRpcChannel channel(h.take_client_transport(), kProg, kVers,
-                                   options);
+  rpc::RpcClient channel(h.take_client_transport(), kProg, kVers, options);
   auto fut = channel.call_async<std::uint32_t>(kProcEcho, 9u);
   // No flush() — before the on_block hook this would deadlock forever.
   EXPECT_EQ(fut.get(), 9u);

@@ -66,9 +66,12 @@ TEST(ThreadPool, ReusableAcrossManyCalls) {
 /// touching the caller's frame after the caller saw the work finish. The
 /// caller holds done_mu (its first frame mutex) until a worker queues behind
 /// it; once the caller's final done_mu release begins, any worker acquiring
-/// a frame mutex is locking a frame that is about to die. The caller's next
-/// frame-mutex acquisition (err_mu, just before it returns) waits for the
-/// workers to let go, so the test itself never touches a dead frame.
+/// a frame mutex is locking a frame that is about to die. A worker's frame
+/// lock waits until the caller holds done_mu, so it cannot slip in and out
+/// before the caller's first lock (which would leave the caller waiting for
+/// a worker that never queues). The caller's next frame-mutex acquisition
+/// (err_mu, just before it returns) waits for the workers to let go, so the
+/// test itself never touches a dead frame.
 class FrameLockRace : public sim::SyncObserver {
  public:
   explicit FrameLockRace(std::thread::id caller) : caller_(caller) {}
@@ -77,6 +80,7 @@ class FrameLockRace : public sim::SyncObserver {
     if (!in_frame(mu)) return;
     if (std::this_thread::get_id() != caller_) {
       ++pending_;
+      wait_for([this] { return done_mu_.load() != nullptr; });
     } else if (done_mu_ != nullptr && &mu != done_mu_) {
       wait_for([this] { return pending_ == 0 && held_ == 0; });
     }
@@ -123,7 +127,7 @@ class FrameLockRace : public sim::SyncObserver {
   }
 
   const std::thread::id caller_;
-  const sim::Mutex* done_mu_ = nullptr;  // caller thread only
+  std::atomic<const sim::Mutex*> done_mu_{nullptr};  // set by the caller
   std::atomic<int> pending_{0};
   std::atomic<int> held_{0};
   std::atomic<bool> released_{false};

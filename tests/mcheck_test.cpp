@@ -5,9 +5,9 @@
 //   2. Explorer self-checks against the intentionally broken fixtures in
 //      mcheck_mutants.hpp (it must flag both mutants and pass both fixes),
 //      plus determinism and seed-replay guarantees.
-//   3. Model tests over five production concurrency cores: tenancy token
-//      bucket, obs seqlock ring, fair-share scheduler vtime accounting, DRC
-//      condvar parking, and the rpcflow call batcher.
+//   3. Model tests over four production concurrency cores: tenancy token
+//      bucket, obs seqlock ring, fair-share scheduler vtime accounting, and
+//      DRC condvar parking.
 //
 // These tests install their own observers (LockGraph::install saves and
 // restores, explore() swaps for its run), so the mutants' inverted lock
@@ -28,7 +28,6 @@
 #include "obs/trace.hpp"
 #include "rpc/rpc_msg.hpp"
 #include "rpc/server.hpp"
-#include "rpcflow/batcher.hpp"
 #include "sim/annotations.hpp"
 #include "sim/sim_clock.hpp"
 #include "tenancy/token_bucket.hpp"
@@ -147,7 +146,7 @@ TEST(LockGraph, DumpJsonWritesMergeableEdges) {
                    std::istreambuf_iterator<char>());
   EXPECT_NE(json.find("\"edges\""), std::string::npos);
   EXPECT_NE(json.find("\"self_deadlocks\":0"), std::string::npos);
-  // Lock classes are instance *construction* sites ("batcher.hpp:87"), so
+  // Lock classes are instance *construction* sites ("transport.hpp:95"), so
   // per-process dumps merge on identities stable across the whole suite.
   EXPECT_NE(json.find("mcheck_test.cpp"), std::string::npos) << json;
   std::remove(path.c_str());
@@ -452,43 +451,6 @@ TEST(ModelDrc, DuplicateDispatchExecutesHandlerOnce) {
   });
   EXPECT_FALSE(r.failed) << r.failure << " trace=" << r.trace;
   EXPECT_GT(r.schedules, 1u);
-}
-
-// Core 5: the rpcflow CallBatcher flush race. Two appenders race a
-// threshold flush (deadline = 0 keeps the background flusher thread out of
-// the model); no record may be lost or sent twice, whatever the order.
-TEST(ModelBatcher, ConcurrentAppendsLoseNothing) {
-  struct CountingTransport final : rpc::Transport {
-    std::atomic<std::size_t> bytes{0};
-    std::atomic<int> sends{0};
-    void send(std::span<const std::uint8_t> data) override {
-      bytes.fetch_add(data.size(), std::memory_order_relaxed);
-      sends.fetch_add(1, std::memory_order_relaxed);
-    }
-    std::size_t recv(std::span<std::uint8_t>) override { return 0; }
-    void shutdown() override {}
-  };
-  const ExploreResult r = explore(ExploreOptions{}, [] {
-    CountingTransport transport;
-    rpcflow::CallBatcher::Options opts;
-    opts.enabled = true;
-    opts.max_calls = 2;  // second append triggers the full-flush path
-    opts.deadline = std::chrono::microseconds{0};
-    rpcflow::CallBatcher batcher(transport, opts, /*max_fragment=*/1 << 20);
-    const std::vector<std::uint8_t> record(32, 0x5A);
-    for (int i = 0; i < 2; ++i) {
-      mcheck::spawn([&] { batcher.append(record); });
-    }
-    mcheck::join_children();
-    batcher.flush();
-    const auto stats = batcher.stats();
-    model_assert(stats.records == 2, "both records accepted");
-    model_assert(stats.bytes == transport.bytes.load(),
-                 "sent bytes match accounted bytes (nothing lost/duped)");
-    model_assert(batcher.buffered() == 0, "flush drained the buffer");
-  });
-  EXPECT_FALSE(r.failed) << r.failure << " trace=" << r.trace;
-  EXPECT_TRUE(r.exhausted);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdlib>
 #include <mutex>
+#include <new>
 #include <span>
 #include <string>
 #include <thread>
@@ -18,6 +20,26 @@
 #include "rpc/transport.hpp"
 #include "sim/rng.hpp"
 #include "xdr/taint.hpp"
+
+// Heap allocations made by this thread while counting is on: the test below
+// pins that a warm client's blocking calls allocate nothing.
+namespace {
+thread_local bool t_count_allocs = false;
+thread_local std::size_t t_allocs = 0;
+}  // namespace
+
+// The replacement pairs malloc with free; GCC flags the free it inlines
+// into callers as mismatched with the new it does not see through.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  if (t_count_allocs) ++t_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace cricket::rpc {
 namespace {
@@ -63,7 +85,66 @@ ServiceRegistry make_test_registry() {
   return reg;
 }
 
-/// Client + in-process server fixture over a pipe pair.
+/// Forwards to a pipe end with allocation counting paused, so the count
+/// covers the client alone, not the pipe's own queue.
+class UncountedTransport final : public Transport {
+ public:
+  explicit UncountedTransport(std::unique_ptr<Transport> inner)
+      : inner_(std::move(inner)) {}
+  void send(std::span<const std::uint8_t> data) override {
+    const Pause pause;
+    inner_->send(data);
+  }
+  std::size_t recv(std::span<std::uint8_t> out) override {
+    const Pause pause;
+    return inner_->recv(out);
+  }
+  bool set_recv_timeout(std::chrono::nanoseconds timeout) override {
+    return inner_->set_recv_timeout(timeout);
+  }
+  void shutdown() override { inner_->shutdown(); }
+
+ private:
+  struct Pause {
+    bool was = std::exchange(t_count_allocs, false);
+    ~Pause() { t_count_allocs = was; }
+  };
+  std::unique_ptr<Transport> inner_;
+};
+
+/// The buffer-reuse contract of the serial client and serial server: a
+/// small call after a large one sees exactly its own bytes, for owned and
+/// borrowed arguments alike, and once warm the client's calls allocate
+/// nothing.
+void check_buffer_reuse(RpcClient& client) {
+  sim::Xoshiro256ss rng(11);
+  std::vector<std::uint8_t> big(8u << 20);
+  rng.fill_bytes(big);
+  const std::vector<std::uint8_t> small = {1, 2, 3, 4};
+  for (const std::uint32_t proc : {kProcEcho, kProcEchoView}) {
+    SCOPED_TRACE("proc " + std::to_string(proc));
+    EXPECT_EQ(client.call<std::vector<std::uint8_t>>(
+                  proc, std::span<const std::uint8_t>(big)),
+              big);
+    EXPECT_EQ(client.call<std::vector<std::uint8_t>>(
+                  proc, std::span<const std::uint8_t>(small)),
+              small);
+    const auto raw = client.call_raw(proc, xdr::to_bytes(small));
+    EXPECT_TRUE(std::ranges::equal(raw, xdr::to_bytes(small)));
+  }
+  const std::vector<std::uint8_t> args = xdr::to_bytes(small);
+  std::size_t equal = 0;
+  t_allocs = 0;
+  t_count_allocs = true;
+  for (int i = 0; i < 16; ++i)
+    equal += std::ranges::equal(client.call_raw(kProcEchoView, args), args);
+  t_count_allocs = false;
+  EXPECT_EQ(equal, 16u);
+  EXPECT_EQ(t_allocs, 0u) << "a warm client allocated on its call path";
+}
+
+/// Serial client (a window of one, no batching) + in-process server fixture
+/// over a pipe pair.
 class RpcPipeTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -73,7 +154,9 @@ class RpcPipeTest : public ::testing::Test {
     server_thread_ = std::thread([this] {
       serve_transport(registry_, *server_end_);
     });
-    client_ = std::make_unique<RpcClient>(std::move(client_end), kProg, kVers);
+    client_ = std::make_unique<RpcClient>(
+        std::make_unique<UncountedTransport>(std::move(client_end)), kProg,
+        kVers);
   }
 
   void TearDown() override {
@@ -112,24 +195,30 @@ TEST_F(RpcPipeTest, EchoLargePayloadRoundTrips) {
 }
 
 TEST_F(RpcPipeTest, ReusedBuffersCarryNoStaleTail) {
-  // Client and serial server reuse their record, argument and result
-  // buffers across calls; a small call after a large one must see exactly
-  // its own bytes, for owned and borrowed arguments alike.
-  sim::Xoshiro256ss rng(11);
-  std::vector<std::uint8_t> big(8u << 20);
-  rng.fill_bytes(big);
-  const std::vector<std::uint8_t> small = {1, 2, 3, 4};
-  for (const std::uint32_t proc : {kProcEcho, kProcEchoView}) {
-    SCOPED_TRACE("proc " + std::to_string(proc));
-    EXPECT_EQ(client_->call<std::vector<std::uint8_t>>(
-                  proc, std::span<const std::uint8_t>(big)),
-              big);
-    EXPECT_EQ(client_->call<std::vector<std::uint8_t>>(
-                  proc, std::span<const std::uint8_t>(small)),
-              small);
-    const auto raw = client_->call_raw(proc, xdr::to_bytes(small));
-    EXPECT_TRUE(std::ranges::equal(raw, xdr::to_bytes(small)));
+  check_buffer_reuse(*client_);
+}
+
+TEST(RpcRetryClient, ReusedBuffersCarryNoStaleTail) {
+  // The same contract with the retry layer on: a window of one, with its
+  // attempt timers, keeps the serial path's buffers and allocates nothing.
+  // The timeouts are generous so slow (sanitizer) builds never re-send.
+  ServiceRegistry reg = make_test_registry();
+  auto [client_end, server_end] = make_pipe_pair();
+  std::thread server([&reg, t = std::move(server_end)]() mutable {
+    serve_transport(reg, *t);
+  });
+  {
+    RpcClient client(std::make_unique<UncountedTransport>(std::move(client_end)),
+                     kProg, kVers,
+                     ClientOptions{.max_outstanding = 1,
+                                   .retry = RetryPolicy{
+                                       .enabled = true,
+                                       .attempt_timeout = std::chrono::seconds(30),
+                                       .deadline = std::chrono::seconds(120)}});
+    check_buffer_reuse(client);
+    EXPECT_EQ(client.stats().retries, 0u);
   }
+  server.join();
 }
 
 TEST_F(RpcPipeTest, UnknownProcedureIsProcUnavail) {

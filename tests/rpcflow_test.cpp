@@ -1,5 +1,5 @@
-// rpcflow: pipelined channel, small-call batcher, pipelined server loop, and
-// the async Cricket client end-to-end.
+// rpcflow: the pipelined rpc client, small-call batcher, pipelined server
+// loop, and the async Cricket client end-to-end.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,17 +13,16 @@
 #include "cricket/server.hpp"
 #include "cudart/local_api.hpp"
 #include "env/environment.hpp"
+#include "rpc/client.hpp"
 #include "rpc/record.hpp"
 #include "rpc/rpc_msg.hpp"
 #include "rpc/server.hpp"
 #include "rpc/transport.hpp"
-#include "rpcflow/batcher.hpp"
-#include "rpcflow/channel.hpp"
 #include "workloads/histogram.hpp"
 #include "workloads/kernels.hpp"
 #include "workloads/matrix_mul.hpp"
 
-namespace cricket::rpcflow {
+namespace cricket::rpc {
 namespace {
 
 using namespace std::chrono_literals;
@@ -81,8 +80,7 @@ TEST(CallBatcherTest, FlushesWhenRecordCountFills) {
   CallBatcher batcher(wire,
                       CallBatcher::Options{.enabled = true,
                                            .max_bytes = 1 << 20,
-                                           .max_calls = 2,
-                                           .deadline = 0us},
+                                           .max_calls = 2},
                       rpc::RecordWriter::kDefaultMaxFragment);
   batcher.append(record_of(40));
   EXPECT_EQ(wire.sends(), 0u);  // below both thresholds: buffered
@@ -100,8 +98,7 @@ TEST(CallBatcherTest, FlushesWhenByteThresholdFills) {
   CallBatcher batcher(wire,
                       CallBatcher::Options{.enabled = true,
                                            .max_bytes = 64,
-                                           .max_calls = 1000,
-                                           .deadline = 0us},
+                                           .max_calls = 1000},
                       rpc::RecordWriter::kDefaultMaxFragment);
   batcher.append(record_of(40));  // 44 wire bytes: buffered
   EXPECT_EQ(wire.sends(), 0u);
@@ -110,30 +107,12 @@ TEST(CallBatcherTest, FlushesWhenByteThresholdFills) {
   EXPECT_EQ(batcher.stats().flush_full, 1u);
 }
 
-TEST(CallBatcherTest, FlushesOnDeadlineWithoutHelp) {
-  RecordingTransport wire;
-  CallBatcher batcher(wire,
-                      CallBatcher::Options{.enabled = true,
-                                           .max_bytes = 1 << 20,
-                                           .max_calls = 1000,
-                                           .deadline = 2ms},
-                      rpc::RecordWriter::kDefaultMaxFragment);
-  batcher.append(record_of(40));
-  const auto give_up = std::chrono::steady_clock::now() + 5s;
-  while (wire.sends() == 0 && std::chrono::steady_clock::now() < give_up) {
-    std::this_thread::sleep_for(1ms);
-  }
-  EXPECT_EQ(wire.sends(), 1u);
-  EXPECT_EQ(batcher.stats().flush_deadline, 1u);
-}
-
 TEST(CallBatcherTest, ExplicitFlushDrainsTheBuffer) {
   RecordingTransport wire;
   CallBatcher batcher(wire,
                       CallBatcher::Options{.enabled = true,
                                            .max_bytes = 1 << 20,
-                                           .max_calls = 1000,
-                                           .deadline = 0us},
+                                           .max_calls = 1000},
                       rpc::RecordWriter::kDefaultMaxFragment);
   batcher.append(record_of(40));
   batcher.append(record_of(40));
@@ -148,7 +127,7 @@ TEST(CallBatcherTest, ExplicitFlushDrainsTheBuffer) {
 /// Pipe-connected channel + pipelined server with concurrency probes.
 class ChannelHarness {
  public:
-  ChannelHarness(rpc::ServeOptions serve, ChannelOptions channel_options) {
+  ChannelHarness(rpc::ServeOptions serve, ClientOptions channel_options) {
     registry_.register_typed<std::uint32_t, std::uint32_t, std::uint32_t>(
         kProg, kVers, kProcAdd,
         [](std::uint32_t a, std::uint32_t b) { return a + b; });
@@ -175,8 +154,8 @@ class ChannelHarness {
     server_thread_ = std::thread([this, serve] {
       rpc::serve_transport(registry_, *server_end_, serve);
     });
-    channel_ = std::make_unique<AsyncRpcChannel>(std::move(client_end), kProg,
-                                                 kVers, channel_options);
+    channel_ = std::make_unique<RpcClient>(std::move(client_end), kProg, kVers,
+                                           channel_options);
   }
 
   ~ChannelHarness() {
@@ -184,7 +163,7 @@ class ChannelHarness {
     if (server_thread_.joinable()) server_thread_.join();
   }
 
-  [[nodiscard]] AsyncRpcChannel& channel() { return *channel_; }
+  [[nodiscard]] RpcClient& channel() { return *channel_; }
   [[nodiscard]] std::uint32_t max_handler_concurrency() const {
     return max_in_handler_.load();
   }
@@ -195,12 +174,12 @@ class ChannelHarness {
   std::atomic<std::uint32_t> max_in_handler_{0};
   std::unique_ptr<rpc::Transport> server_end_;
   std::thread server_thread_;
-  std::unique_ptr<AsyncRpcChannel> channel_;
+  std::unique_ptr<RpcClient> channel_;
 };
 
 TEST(AsyncRpcChannelTest, OutOfOrderRepliesMatchTheirCalls) {
   ChannelHarness h(rpc::ServeOptions{.workers = 4, .max_in_flight = 16},
-                   ChannelOptions{.max_outstanding = 16});
+                   ClientOptions{.max_outstanding = 16});
   // The first call sleeps; the rest complete immediately on other workers,
   // so their replies overtake it on the wire.
   auto slow = h.channel().call_async<std::uint32_t>(
@@ -219,12 +198,12 @@ TEST(AsyncRpcChannelTest, OutOfOrderRepliesMatchTheirCalls) {
   const auto stats = h.channel().stats();
   EXPECT_EQ(stats.calls, 4u);
   EXPECT_EQ(stats.replies, 4u);
-  EXPECT_EQ(stats.unmatched, 0u);
+  EXPECT_EQ(stats.stale_replies, 0u);
 }
 
 TEST(AsyncRpcChannelTest, WindowSaturatesAtMaxOutstanding) {
   ChannelHarness h(rpc::ServeOptions{.workers = 4, .max_in_flight = 64},
-                   ChannelOptions{.max_outstanding = 4});
+                   ClientOptions{.max_outstanding = 4});
   std::vector<TypedFuture<std::uint32_t>> futures;
   for (std::uint32_t i = 0; i < 32; ++i) {
     futures.push_back(h.channel().call_async<std::uint32_t>(
@@ -241,7 +220,7 @@ TEST(AsyncRpcChannelTest, WindowSaturatesAtMaxOutstanding) {
 
 TEST(AsyncRpcChannelTest, ServerWorkerPoolRunsHandlersConcurrently) {
   ChannelHarness h(rpc::ServeOptions{.workers = 4, .max_in_flight = 16},
-                   ChannelOptions{.max_outstanding = 16});
+                   ClientOptions{.max_outstanding = 16});
   std::vector<TypedFuture<std::uint32_t>> futures;
   for (std::uint32_t i = 0; i < 8; ++i) {
     futures.push_back(h.channel().call_async<std::uint32_t>(kProcTrack, i));
@@ -257,10 +236,9 @@ TEST(AsyncRpcChannelTest, ServerWorkerPoolRunsHandlersConcurrently) {
 TEST(AsyncRpcChannelTest, BatchedPipelineMatchesExpectedResults) {
   ChannelHarness h(
       rpc::ServeOptions{.workers = 2, .max_in_flight = 64},
-      ChannelOptions{.max_outstanding = 64,
-                     .batch = CallBatcher::Options{.enabled = true,
-                                                   .max_calls = 8,
-                                                   .deadline = 500us}});
+      ClientOptions{.max_outstanding = 64,
+                    .batch = CallBatcher::Options{.enabled = true,
+                                                  .max_calls = 8}});
   std::vector<TypedFuture<std::uint32_t>> futures;
   for (std::uint32_t i = 0; i < 200; ++i) {
     futures.push_back(
@@ -276,7 +254,7 @@ TEST(AsyncRpcChannelTest, BatchedPipelineMatchesExpectedResults) {
 
 TEST(AsyncRpcChannelTest, CallLevelErrorsSurfaceThroughFutures) {
   ChannelHarness h(rpc::ServeOptions{.workers = 2, .max_in_flight = 8},
-                   ChannelOptions{.max_outstanding = 8});
+                   ClientOptions{.max_outstanding = 8});
   auto fut = h.channel().call_async<std::uint32_t>(999);  // unknown proc
   h.channel().flush();
   try {
@@ -293,8 +271,8 @@ TEST(AsyncRpcChannelTest, CallLevelErrorsSurfaceThroughFutures) {
 
 TEST(AsyncRpcChannelTest, MidPipelineFailureFailsEveryPendingFuture) {
   auto [client_end, server_end] = rpc::make_pipe_pair();
-  AsyncRpcChannel channel(std::move(client_end), kProg, kVers,
-                          ChannelOptions{.max_outstanding = 64});
+  RpcClient channel(std::move(client_end), kProg, kVers,
+                    ClientOptions{.max_outstanding = 64});
   std::vector<TypedFuture<std::uint32_t>> futures;
   for (std::uint32_t i = 0; i < 16; ++i) {
     futures.push_back(channel.call_async<std::uint32_t>(kProcAdd, i, i));
@@ -320,9 +298,8 @@ TEST(AsyncRpcChannelTest, OversizedReplyFailsUndecodedViaBoundsTable) {
       {kProg, kVers, kProcAdd, 8, 8, 4, 4, "add"},
   };
   auto [client_end, server_end] = rpc::make_pipe_pair();
-  AsyncRpcChannel channel(
-      std::move(client_end), kProg, kVers,
-      ChannelOptions{.max_outstanding = 4, .bounds = kTable});
+  RpcClient channel(std::move(client_end), kProg, kVers,
+                    ClientOptions{.max_outstanding = 4, .bounds = kTable});
   // Raw "server": answers the call with a well-formed success reply whose
   // results blob far exceeds the procedure's proven result bound. The
   // channel must fail the future from the record length alone, before
@@ -372,14 +349,13 @@ TEST(AsyncRpcChannelTest, OversizedReplyFailsUndecodedViaBoundsTable) {
            .get()),
       42u);
   server2.join();
-  // End the reader loop: the channel destructor joins the reader, which
-  // runs until the server half-closes.
+  // The raw server is done: close its side too.
   server_end->shutdown();
 }
 
 TEST(AsyncRpcChannelTest, DrainIsIdleSafe) {
   ChannelHarness h(rpc::ServeOptions{.workers = 1, .max_in_flight = 4},
-                   ChannelOptions{.max_outstanding = 4});
+                   ClientOptions{.max_outstanding = 4});
   h.channel().drain();
   EXPECT_EQ(h.channel().outstanding(), 0u);
 }
@@ -458,4 +434,4 @@ TEST_F(AsyncCricketTest, DisconnectFailsSubsequentCalls) {
 }
 
 }  // namespace
-}  // namespace cricket::rpcflow
+}  // namespace cricket::rpc

@@ -59,12 +59,17 @@
 #                    bench_fig6_micro and bench_fig7_bandwidth runs (serial
 #                    paths, byte-identical run to run) must reproduce the
 #                    goldens in tools/goldens/ exactly
+#  20. perfbench-selftest  python3 perfbench/run.py --selftest: builds the
+#                    real-time benchmark against src/ as a project of its
+#                    own and checks one guest request per API call on the
+#                    serial path — a client API change that breaks the
+#                    benchmark's build fails here, not in the benchmark run
 #
-# Stages whose toolchain is unavailable (no clang, no clang-tidy) report
-# SKIP and do not fail the gate. The first FAIL stops the run; a summary
-# table is always printed, and a machine-readable per-stage summary is
-# written to build-check-logs/check_summary.json (schema enforced by
-# tools/validate_check_json.py). Exit code: 0 iff no stage failed.
+# Stages whose toolchain is unavailable (no clang, no clang-tidy, no cmake
+# for perfbench) report SKIP and do not fail the gate. The first FAIL stops
+# the run; a summary table is always printed, and a machine-readable
+# per-stage summary is written to build-check-logs/check_summary.json
+# (schema enforced by tools/validate_check_json.py). Exit code: 0 iff no stage failed.
 #
 # Usage: tools/check.sh [--keep-going] [--jobs N]
 set -u
@@ -164,7 +169,7 @@ if should_continue; then
     run_stage clang-tidy bash -c '
       cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null &&
       clang-tidy -p build --quiet \
-        src/rpc/*.cpp src/rpcflow/*.cpp src/gpusim/*.cpp \
+        src/rpc/*.cpp src/gpusim/*.cpp \
         src/rpcl/*.cpp src/vnet/*.cpp src/cricket/*.cpp'
   else
     record clang-tidy "SKIP (clang-tidy not installed)"
@@ -415,6 +420,17 @@ if should_continue; then
       diff -u tools/goldens/fig6_micro.txt "$out/fig6.txt" &&
       build/bench/bench_fig7_bandwidth --mib=32 --runs=1 >"$out/fig7.txt" &&
       diff -u tools/goldens/fig7_bandwidth.txt "$out/fig7.txt"'
+  fi
+fi
+
+# ------------------------------------------------------ 20: perfbench-selftest
+# perfbench compiles src/ into its own build tree (.bench_build/perfbench),
+# so it catches a build break the repository's own targets cannot see.
+if should_continue; then
+  if ! command -v cmake >/dev/null 2>&1; then
+    record perfbench-selftest "SKIP (cmake not installed)"
+  else
+    run_stage perfbench-selftest python3 perfbench/run.py --selftest
   fi
 fi
 
